@@ -251,6 +251,7 @@ def _run_ppa(fam, x, q, params, summary):
         barygrad_norm=final.barygrad_norm,
         loss_spread=final.loss_spread,
         n_records=len(trace.records),
+        final_lam=trace.final_lam,
     )
     columns = (
         ["k"]

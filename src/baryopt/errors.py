@@ -1,4 +1,7 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the config-value validator."""
+
+import math
+import numbers
 
 
 class DimensionMismatchError(ValueError):
@@ -33,3 +36,27 @@ class ProxNonConvergenceError(RuntimeError):
         self.q = q
         self.grad_norm = grad_norm
         self.iterations = iterations
+
+
+def positive_number(value, name, error, integer=False):
+    """`value` as a positive float, or as an int >= 1 when `integer`.
+
+    Raises `error` (a ValueError subclass) for booleans, non-numbers, NaN,
+    infinities, values out of range and, when `integer`, non-integral values,
+    so a malformed setting never reaches a solver as a silent default.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise error(f"{name} must be finite, got {value!r}")
+    if integer:
+        if not number.is_integer() or number < 1:
+            raise error(f"{name} must be an integer >= 1, got {value!r}")
+        return int(value)
+    if number <= 0:
+        raise error(f"{name} must be positive, got {value!r}")
+    return number

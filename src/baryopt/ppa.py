@@ -8,6 +8,19 @@ no fixed point the consecutive-step divergence can still decay to zero while
 the weights drift to a simplex vertex, and such runs must terminate as
 `max_iter` with the drift flagged, not as converged.
 
+The outer step starts at `prox_cfg.lam` and grows: after step k >= 2, when
+the step divergence D_k = D_f(z_k, z_{k-1}) exceeds `_STALL_RATIO` * D_{k-1}
+(slow linear contraction), the step doubles for the following prox calls, up
+to max(lam, `_LAM_CAP`).  Runs that contract faster keep the initial step and
+its iterates.  Changing the step keeps Fejer monotonicity: every proximal map
+is Bregman firmly nonexpansive for the same f = ||x||^2/2 + h(q), and its
+fixed points (J^T q = 0 with equal losses) do not depend on the step, so
+D_f(z*, z_{k+1}) <= D_f(z*, z_k) - D_f(z_{k+1}, z_k) holds at every step
+whatever the schedule.  With steps that grow without bound the iteration is
+superlinear (Rockafellar 1976, Thm 2; Eckstein 1993 for Bregman distances);
+the cap keeps the inner tolerance above the prox line search's round-off
+floor.
+
 Terminal statuses: "converged", "max_iter", "inner_failure" (the inner solver
 gave up; the trace up to the last good iterate is preserved).
 """
@@ -18,7 +31,7 @@ import numpy as np
 
 from .objectives import ObjectiveFamily
 from .prox import ProxConfig, prox
-from .errors import ProxNonConvergenceError
+from .errors import ConfigError, ProxNonConvergenceError, positive_number
 from .simplex_geometry import HybridPoint, SimplexPoint, hybrid_bregman
 
 Array = np.ndarray
@@ -27,9 +40,26 @@ STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
 STATUS_INNER_FAILURE = "inner_failure"
 
+# Outer step schedule (see the module docstring).  A step divergence that
+# shrinks by less than this ratio per step needs over 200 steps to fall ten
+# orders of magnitude, so it marks slow linear contraction; runs that contract
+# faster never change the step and keep their fixed-step iterates.
+_STALL_RATIO = 0.9
+# Geometric growth reaches the cap from the default step 0.5 within ten
+# stalled steps; a linear schedule 0.5 * k took over twice the outer
+# iterations on small known-saddle families.
+_LAM_GROWTH = 2.0
+# Beyond about 1e3 the inner tolerance inner_tol / lam meets the round-off
+# floor of the prox line search and solves end in inner_failure; a cap of
+# 64 * lam = 32 is too low for every known-saddle solve to converge.
+_LAM_CAP = 500.0
+
 
 class PpaConfig:
-    """Outer-loop settings wrapped around a ProxConfig."""
+    """Outer-loop settings wrapped around a ProxConfig.
+
+    `prox_cfg.lam` is the initial outer step; `run_ppa` may enlarge it.
+    """
 
     def __init__(
         self,
@@ -39,15 +69,13 @@ class PpaConfig:
         fp_tol: float = 1e-5,
         record_every: int = 1,
     ):
-        if stop_tol <= 0 or fp_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if max_outer_iter < 1 or record_every < 1:
-            raise ValueError("iteration counts must be at least 1")
         self.prox_cfg = prox_cfg if prox_cfg is not None else ProxConfig()
-        self.stop_tol = float(stop_tol)
-        self.max_outer_iter = int(max_outer_iter)
-        self.fp_tol = float(fp_tol)
-        self.record_every = int(record_every)
+        self.stop_tol = positive_number(stop_tol, "stop_tol", ConfigError)
+        self.max_outer_iter = positive_number(
+            max_outer_iter, "max_outer_iter", ConfigError, integer=True
+        )
+        self.fp_tol = positive_number(fp_tol, "fp_tol", ConfigError)
+        self.record_every = positive_number(record_every, "record_every", ConfigError, integer=True)
 
 
 class PpaRecord:
@@ -81,13 +109,15 @@ class PpaRecord:
 
 
 class PpaTrace:
-    """Recorded iterates plus the terminal status and drift diagnostic."""
+    """Recorded iterates, the terminal status, the drift diagnostic and the
+    outer step in effect at the end of the run."""
 
-    def __init__(self, records, status, iterations, no_fixed_point_suspected):
+    def __init__(self, records, status, iterations, no_fixed_point_suspected, final_lam):
         self.records = records
         self.status = status
         self.iterations = iterations
         self.no_fixed_point_suspected = no_fixed_point_suspected
+        self.final_lam = final_lam
 
     @property
     def final(self) -> HybridPoint:
@@ -97,89 +127,84 @@ class PpaTrace:
         return (
             f"PpaTrace(status={self.status!r}, iterations={self.iterations}, "
             f"records={len(self.records)}, "
-            f"no_fixed_point_suspected={self.no_fixed_point_suspected})"
+            f"no_fixed_point_suspected={self.no_fixed_point_suspected}, "
+            f"final_lam={self.final_lam})"
         )
 
 
-def _certificates(fam, x, q):
-    vals = fam.values(x)
-    barygrad_norm = float(np.linalg.norm(fam.jacobian(x).T @ q.probs))
-    spread = float(vals.max() - vals.min())
-    return barygrad_norm, spread
+def _record(fam, k, state, step):
+    """Record of `state` at iteration k; its displacement is filled in later."""
+    vals = fam.values(state.x)
+    probs = state.q.probs
+    return PpaRecord(
+        k=k,
+        x=state.x,
+        q=state.q,
+        objective=float(probs @ vals),
+        barygrad_norm=float(np.linalg.norm(fam.jacobian(state.x).T @ probs)),
+        loss_spread=float(vals.max() - vals.min()),
+        prox_displacement=math.nan,
+        step_bregman=step,
+    )
 
 
 def run_ppa(fam: ObjectiveFamily, x0, q0: SimplexPoint, cfg: PpaConfig = None) -> PpaTrace:
     """Iterate the proximal map from (x0, q0) until convergence or a cap.
 
+    Starts at the step `cfg.prox_cfg.lam` and doubles it whenever the step
+    divergence shrinks by less than `_STALL_RATIO`, up to
+    max(lam, `_LAM_CAP`) (see the module docstring).
+
     Records state k = 0 and every `record_every`-th iterate plus the final
-    one.  `prox_displacement` at a recorded state is the hybrid Bregman
-    divergence to its own proximal image (for interior states this equals the
-    next step's divergence; the final record costs one extra prox call).
+    one; only those are kept.  `prox_displacement` at a recorded state is the
+    hybrid Bregman divergence to its own proximal image at the step then in
+    effect (for interior states this equals the next step's divergence; the
+    final record costs one extra prox call).
     """
     if cfg is None:
         cfg = PpaConfig()
     x0 = fam.check_point(x0)
+    prox_cfg = cfg.prox_cfg
+    lam_cap = max(prox_cfg.lam, _LAM_CAP)
     state = HybridPoint(x0, q0)
-
-    # Per-iterate history (cheap: scalars plus small vectors).
-    points = [state]
-    certs = [_certificates(fam, state.x, state.q)]
-    steps = [math.nan]  # steps[k] = D_f(state_k, state_{k-1})
+    current = _record(fam, 0, state, math.nan)
+    records = [current]
 
     status = STATUS_MAX_ITER
     iterations = 0
-    inner_failed = False
+    prev_step = math.nan
     for k in range(1, cfg.max_outer_iter + 1):
+        iterations = k
         try:
-            result = prox(fam, state.x, state.q, cfg.prox_cfg)
+            result = prox(fam, state.x, state.q, prox_cfg)
         except ProxNonConvergenceError:
-            inner_failed = True
             status = STATUS_INNER_FAILURE
-            iterations = k
             break
         new_state = result.point
         step = hybrid_bregman(new_state, state)
-        points.append(new_state)
-        certs.append(_certificates(fam, new_state.x, new_state.q))
-        steps.append(step)
+        current.prox_displacement = step
         state = new_state
-        iterations = k
-        barygrad_norm, spread = certs[-1]
-        if step <= cfg.stop_tol and barygrad_norm <= cfg.fp_tol and spread <= cfg.fp_tol:
+        current = _record(fam, k, state, step)
+        if k % cfg.record_every == 0:
+            records.append(current)
+        if (step <= cfg.stop_tol and current.barygrad_norm <= cfg.fp_tol
+                and current.loss_spread <= cfg.fp_tol):
             status = STATUS_CONVERGED
             break
+        if k >= 2 and step > _STALL_RATIO * prev_step and prox_cfg.lam < lam_cap:
+            prox_cfg = _with_lam(prox_cfg, min(_LAM_GROWTH * prox_cfg.lam, lam_cap))
+        prev_step = step
 
-    last = len(points) - 1
-    indices = sorted(set(range(0, last + 1, cfg.record_every)) | {last})
-
-    # Displacement of the final state needs one extra prox evaluation unless
+    if records[-1] is not current:
+        records.append(current)
+    # The final state's displacement needs one extra prox evaluation unless
     # the inner solver already failed there.
-    displacements = {}
-    for idx in indices:
-        if idx < last:
-            displacements[idx] = steps[idx + 1]
-        elif inner_failed:
-            displacements[idx] = math.nan
-        else:
-            try:
-                extra = prox(fam, points[idx].x, points[idx].q, cfg.prox_cfg)
-                displacements[idx] = hybrid_bregman(extra.point, points[idx])
-            except ProxNonConvergenceError:
-                displacements[idx] = math.nan
-
-    records = [
-        PpaRecord(
-            k=idx,
-            x=points[idx].x,
-            q=points[idx].q,
-            objective=float(points[idx].q.probs @ fam.values(points[idx].x)),
-            barygrad_norm=certs[idx][0],
-            loss_spread=certs[idx][1],
-            prox_displacement=displacements[idx],
-            step_bregman=steps[idx],
-        )
-        for idx in indices
-    ]
+    if status != STATUS_INNER_FAILURE:
+        try:
+            extra = prox(fam, state.x, state.q, prox_cfg)
+            current.prox_displacement = hybrid_bregman(extra.point, state)
+        except ProxNonConvergenceError:
+            pass
 
     no_fixed_point = False
     if status != STATUS_CONVERGED and len(records) >= 2:
@@ -189,7 +214,12 @@ def run_ppa(fam: ObjectiveFamily, x0, q0: SimplexPoint, cfg: PpaConfig = None) -
         stuck_spread = records[-1].loss_spread > cfg.fp_tol
         no_fixed_point = drifting and concentrated and stuck_spread
 
-    return PpaTrace(records, status, iterations, no_fixed_point)
+    return PpaTrace(records, status, iterations, no_fixed_point, prox_cfg.lam)
+
+
+def _with_lam(cfg: ProxConfig, lam: float) -> ProxConfig:
+    return ProxConfig(lam=lam, inner_tol=cfg.inner_tol,
+                      inner_max_iter=cfg.inner_max_iter, allow_newton=cfg.allow_newton)
 
 
 def fejer_diagnostic(trace: PpaTrace, anchor: HybridPoint) -> Array:

@@ -33,6 +33,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidDomainError,
     ProxNonConvergenceError,
+    positive_number,
 )
 from .objectives import ObjectiveFamily
 from .simplex_geometry import HybridPoint, SimplexPoint, hybrid_bregman, kl
@@ -52,15 +53,13 @@ class ProxConfig:
     """Step size and inner-solver budget for the proximal map."""
 
     def __init__(self, lam=0.5, inner_tol=1e-10, inner_max_iter=10000, allow_newton=True):
-        if not (np.isfinite(lam) and lam > 0):
-            raise InvalidDomainError(f"lam must be positive and finite, got {lam}")
-        if not (np.isfinite(inner_tol) and inner_tol > 0):
-            raise InvalidDomainError(f"inner_tol must be positive, got {inner_tol}")
-        if inner_max_iter < 1:
-            raise InvalidDomainError("inner_max_iter must be at least 1")
-        self.lam = float(lam)
-        self.inner_tol = float(inner_tol)
-        self.inner_max_iter = int(inner_max_iter)
+        if not isinstance(allow_newton, (bool, np.bool_)):
+            raise InvalidDomainError(f"allow_newton must be true or false, got {allow_newton!r}")
+        self.lam = positive_number(lam, "lam", InvalidDomainError)
+        self.inner_tol = positive_number(inner_tol, "inner_tol", InvalidDomainError)
+        self.inner_max_iter = positive_number(
+            inner_max_iter, "inner_max_iter", InvalidDomainError, integer=True
+        )
         self.allow_newton = bool(allow_newton)
 
 

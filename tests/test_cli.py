@@ -53,6 +53,7 @@ class TestPpaRun:
         assert summary["iterations"] == 46
         assert summary["problem"] == "symmetric_quadratic"
         assert summary["no_fixed_point_suspected"] is False
+        assert summary["final_lam"] == 0.5
         np.testing.assert_allclose(summary["x"], [0.0], atol=5e-6)
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -266,6 +267,22 @@ class TestConfigErrors:
         missing = str(tmp_path / "nope.json")
         assert main(["run", missing, "--out-dir", str(tmp_path)]) == EXIT_FAILED
         assert "cannot read config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params, fragment", [
+        ({"stop_tol": -1}, "stop_tol must be positive"),
+        ({"record_every": 0}, "record_every must be an integer >= 1"),
+        ({"lam": "abc"}, "lam must be a number"),
+        ({"stop_tol": float("nan")}, "stop_tol must be finite"),
+        ({"max_outer_iter": 2.5}, "max_outer_iter must be an integer >= 1"),
+        ({"allow_newton": "no"}, "allow_newton must be true or false"),
+    ])
+    def test_invalid_ppa_param_is_one_error_line(self, tmp_path, capsys, params, fragment):
+        cfg = _write_config(tmp_path, _ppa_config(**params))
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == EXIT_FAILED
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("error: ") and fragment in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_bad_output_format_in_config(self, tmp_path, capsys):
         doc = _ppa_config()

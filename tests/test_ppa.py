@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from baryopt.objectives import ConstantFamily, symmetric_quadratic
+from baryopt.objectives import ConstantFamily, QuadraticFamily, symmetric_quadratic
 from baryopt.ppa import (
     STATUS_CONVERGED,
     STATUS_INNER_FAILURE,
@@ -15,7 +15,24 @@ from baryopt.ppa import (
     run_ppa,
 )
 from baryopt.prox import ProxConfig
-from baryopt.simplex_geometry import HybridPoint, SimplexPoint
+from baryopt.simplex_geometry import HybridPoint, SimplexPoint, hybrid_bregman
+
+
+def _known_saddle(seed, m, S):
+    """Quadratic family whose losses all vanish at x* with sum_s q*_s g_s = 0,
+    so (x*, q*) is a fixed point; plus a random start drawn after it."""
+    rng = np.random.default_rng(seed)
+    x_star = rng.uniform(-1.0, 1.0, size=m)
+    q_star = rng.dirichlet(np.full(S, 4.0))
+    G = rng.normal(size=(S, m, m))
+    A = np.einsum("sij,skj->sik", G, G) / m + 0.1 * np.eye(m)
+    g = rng.normal(size=(S, m))
+    g -= q_star @ g
+    b = g - np.einsum("sij,j->si", A, x_star)
+    c = -(0.5 * np.einsum("i,sij,j->s", x_star, A, x_star) + b @ x_star)
+    x0 = rng.uniform(-1.0, 1.0, size=m)
+    q0 = SimplexPoint.from_probs(rng.dirichlet(np.full(S, 2.0)))
+    return QuadraticFamily(A, b, c), x_star, q_star, x0, q0
 
 
 class TestConvergence:
@@ -109,6 +126,35 @@ class TestFejerMonotonicity:
         assert fej[0] > 0.1
         assert np.all(np.diff(fej) <= 1e-10)
         assert fej[-1] <= 1e-10
+
+
+class TestStepGrowth:
+    """The outer step doubles while the step divergence contracts slowly.
+
+    With the fixed default step 0.5 this family still sits 0.1 from its
+    saddle after 5,000 iterations."""
+
+    def test_slow_family_converges_to_its_saddle(self):
+        fam, x_star, q_star, x0, q0 = _known_saddle(27, 3, 4)
+        tr = run_ppa(fam, x0, q0)
+        assert tr.status == STATUS_CONVERGED
+        assert tr.iterations <= 300
+        assert tr.final_lam > ProxConfig().lam
+        np.testing.assert_allclose(tr.final.x, x_star, atol=1e-3)
+        np.testing.assert_allclose(tr.final.q.probs, q_star, atol=1e-3)
+
+    def test_fejer_monotone_while_the_step_grows(self):
+        """D_f(z*, z_{k+1}) <= D_f(z*, z_k) - D_f(z_{k+1}, z_k) at every step."""
+        fam, x_star, q_star, x0, q0 = _known_saddle(27, 3, 4)
+        tr = run_ppa(fam, x0, q0)
+        assert tr.final_lam > ProxConfig().lam
+        anchor = HybridPoint(x_star, SimplexPoint.from_probs(q_star))
+        for prev, nxt in zip(tr.records[:-1], tr.records[1:]):
+            assert nxt.k == prev.k + 1
+            assert nxt.step_bregman == hybrid_bregman(nxt.point, prev.point)
+            assert hybrid_bregman(anchor, nxt.point) <= (
+                hybrid_bregman(anchor, prev.point) - nxt.step_bregman + 1e-10
+            )
 
 
 class TestNoFixedPointDrift:
