@@ -279,6 +279,8 @@ def _run_flow(fam, x, q, params, summary, kind):
         q=trace.q[-1],
         objective=trace.objective[-1],
         n_records=int(trace.t.size),
+        divergence_reason=trace.divergence_reason,
+        divergence_step=trace.divergence_step,
     )
     columns = (
         ["t"]

@@ -17,22 +17,35 @@ to the degenerate (pseudo-Riemannian) metric Cov(q) on logit space: any field
 b with Cov(q) b = (+/-) Cov(q) l generates the same probability path, and the
 pinned-chart field is one such representative.
 
-Integration is classical fixed-step RK4.  A trajectory is declared diverged
-when the state leaves float range or the logits exceed a cap (exp overflow
-territory); min_min runs from generic starts are expected to diverge toward
-a vertex of the simplex.
+One engine serves every entry point: `_field` is the right-hand side on the
+full logit vector xi in R^S (in the pinned gauge its weight velocity
+(+/-)(l - l_S 1) ends in an exact zero, so xi = (xi_bar, 0) stays the pinned
+chart), `_rk4_step` one classical RK4 step on it and `_integrate` the loop.
+A run takes n = round(t_end / dt) steps; `FlowConfig` requires n dt = t_end
+to 1e-9 relative.  States are recorded at t = 0, every `record_every`-th step
+and the end; their q, objective and rates come from the first RK4 stage (k1)
+of the step leaving them, so a run of n steps makes 4n + 1 loss evaluations.
+
+A run that diverges says why in `FlowTrace.divergence_reason`, with the index
+k of the step whose state (t = k dt) triggered it in `divergence_step`:
+"non_finite_step" (a step left float range; the last accepted state is
+recorded), "logit_cap" (max |xi| passed `xi_cap`, where exp() nears overflow;
+the capped state is kept) or "non_finite_rates" (the objective or a rate at a
+recorded state left float range; that row and all later ones are dropped, but
+row 0 is always kept).  min_min runs from generic starts are expected to
+diverge toward a vertex of the simplex.
 """
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, InvalidDomainError
+from .errors import ConfigError, DimensionMismatchError, InvalidDomainError, positive_number
 from .objectives import ObjectiveFamily
 from .simplex_geometry import (
     SimplexPoint,
+    _log_softmax,
     as_logits,
     covariance,
     logits_from_point,
-    sigma_pinned,
 )
 
 Array = np.ndarray
@@ -40,6 +53,9 @@ Array = np.ndarray
 KIND_MIN_MAX = "min_max"
 KIND_MIN_MIN = "min_min"
 _KINDS = (KIND_MIN_MAX, KIND_MIN_MIN)
+
+GAUGE_ZERO = "zero"
+GAUGE_PIN_LAST = "pin_last"
 
 STATUS_COMPLETED = "completed"
 STATUS_DIVERGED = "diverged"
@@ -54,88 +70,105 @@ def _sign(kind: str) -> float:
 
 
 class FlowConfig:
-    """Fixed-step integration parameters."""
+    """Fixed-step integration parameters; dt must divide t_end (to 1e-9 relative)."""
 
     __slots__ = ("t_end", "dt", "record_every", "xi_cap")
 
     def __init__(self, t_end=50.0, dt=0.01, record_every=1, xi_cap=700.0):
-        if not (t_end > 0 and np.isfinite(t_end)):
-            raise ConfigError("t_end must be positive and finite")
-        if not (0 < dt <= t_end):
-            raise ConfigError("dt must lie in (0, t_end]")
-        if record_every < 1:
-            raise ConfigError("record_every must be >= 1")
-        if xi_cap <= 0:
-            raise ConfigError("xi_cap must be positive")
-        self.t_end = float(t_end)
-        self.dt = float(dt)
-        self.record_every = int(record_every)
-        self.xi_cap = float(xi_cap)
+        self.t_end = positive_number(t_end, "t_end", ConfigError)
+        self.dt = positive_number(dt, "dt", ConfigError)
+        self.record_every = positive_number(record_every, "record_every", ConfigError, integer=True)
+        self.xi_cap = positive_number(xi_cap, "xi_cap", ConfigError)
+        steps = self.t_end / self.dt
+        if not (steps < 2.0**53 and abs(round(steps) * self.dt - self.t_end) <= 1e-9 * self.t_end):
+            raise ConfigError(f"t_end = {self.t_end!r} is not a whole number of steps dt = {self.dt!r}")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_end / self.dt))
 
 
-def flow_vector_field(fam: ObjectiveFamily, x: Array, xi_bar: Array, kind: str):
-    """Right-hand side (dx/dt, dxi_bar/dt) of the chosen flow."""
-    sgn = _sign(kind)
+def _field(fam: ObjectiveFamily, x: Array, xi: Array, sign: float, pin: bool):
+    """Right-hand side at (x, xi) for the full logit vector xi in R^S.
+
+    Returns (dx, dxi, sigma, vals): the two velocities, q = softargmax(xi) and
+    the losses l(x).  No validation: callers pass checked arrays.
+    """
+    sigma = np.exp(_log_softmax(xi))
+    vals = fam.values(x)
+    dx = -(fam.jacobian(x).T @ sigma)
+    dxi = sign * (vals - vals[-1] if pin else vals)
+    return dx, dxi, sigma, vals
+
+
+def _rates(sign: float, xi: Array, k1):
+    """Objective q^T l, its rate and the entropy rate at the state of `k1`."""
+    dx, _, sigma, vals = k1
+    mean = float(sigma @ vals)
+    var = float(sigma @ (vals - mean) ** 2)
+    cov_l = sigma * vals - sigma * mean  # Cov(q) l without forming Cov
+    return mean, sign * var - float(dx @ dx), -sign * float(xi @ cov_l)
+
+
+def _entropy(xi: Array) -> float:
+    # Tolerates near-vertex states (probabilities underflowing to zero),
+    # which SimplexPoint rejects.  Normalizing with `_log_softmax` instead of
+    # np.logaddexp.reduce would move the last digit of recorded entropies.
+    log_sigma = xi - np.logaddexp.reduce(xi)
+    sigma = np.exp(log_sigma)
+    return -float(np.sum(np.where(sigma > 0.0, sigma * log_sigma, 0.0)))
+
+
+def _pinned(fam: ObjectiveFamily, x: Array, xi_bar: Array, kind: str):
+    """Validate a pinned-chart state; return (sign, (xi_bar, 0), k1 there)."""
+    sign = _sign(kind)
     x = fam.check_point(x)
     xi_bar = as_logits(xi_bar)
     if xi_bar.size != fam.S - 1:
         raise DimensionMismatchError(
             f"xi_bar has {xi_bar.size} entries, expected {fam.S - 1}"
         )
-    sigma = sigma_pinned(xi_bar)
-    vals = fam.values(x)
-    dx = -(fam.jacobian(x).T @ sigma)
-    dxi = sgn * (vals[:-1] - vals[-1])
-    return dx, dxi
+    xi = np.append(xi_bar, 0.0)
+    return sign, xi, _field(fam, x, xi, sign, True)
+
+
+def flow_vector_field(fam: ObjectiveFamily, x: Array, xi_bar: Array, kind: str):
+    """Right-hand side (dx/dt, dxi_bar/dt) of the chosen flow."""
+    _, _, (dx, dxi, _, _) = _pinned(fam, x, xi_bar, kind)
+    return dx, dxi[:-1]
 
 
 def df_dt_analytic(fam: ObjectiveFamily, x: Array, xi_bar: Array, kind: str) -> float:
     """Exact rate of F = q^T l along the flow: (+/-) Var_q(l) - ||J^T q||^2."""
-    sgn = _sign(kind)
-    xi_bar = as_logits(xi_bar)
-    sigma = sigma_pinned(xi_bar)
-    vals = fam.values(x)
-    mean = float(sigma @ vals)
-    var = float(sigma @ (vals - mean) ** 2)
-    grad_x = fam.jacobian(x).T @ sigma
-    return sgn * var - float(grad_x @ grad_x)
-
-
-def entropy(q: SimplexPoint) -> float:
-    """Shannon entropy -sum q log q."""
-    return -float(q.probs @ q.log_weights)
-
-
-def _entropy_from_logits(xi_bar: Array) -> float:
-    # Tolerates near-vertex states (probabilities underflowing to zero),
-    # which SimplexPoint deliberately rejects.
-    log_sigma = np.concatenate([xi_bar, [0.0]])
-    log_sigma -= np.logaddexp.reduce(log_sigma)
-    sigma = np.exp(log_sigma)
-    return -float(np.sum(np.where(sigma > 0.0, sigma * log_sigma, 0.0)))
+    sign, xi, k1 = _pinned(fam, x, xi_bar, kind)
+    return _rates(sign, xi, k1)[1]
 
 
 def entropy_rate_analytic(fam: ObjectiveFamily, x: Array, xi_bar: Array, kind: str) -> float:
     """Exact entropy rate -(+/-) xi^T Cov(q) l with xi = (xi_bar, 0)."""
-    sgn = _sign(kind)
-    xi_bar = as_logits(xi_bar)
-    xi = np.concatenate([xi_bar, [0.0]])
-    p = sigma_pinned(xi_bar)
-    vals = fam.values(x)
-    cov_l = p * vals - p * float(p @ vals)  # Cov(q) l without forming Cov
-    return -sgn * float(xi @ cov_l)
+    sign, xi, k1 = _pinned(fam, x, xi_bar, kind)
+    return _rates(sign, xi, k1)[2]
+
+
+def entropy(q: SimplexPoint) -> float:
+    """Shannon entropy -sum q log q."""
+    return _entropy(q.log_weights)
 
 
 class FlowTrace:
-    """Recorded trajectory of one flow run."""
+    """Recorded trajectory of one flow run.
+
+    `divergence_reason` and `divergence_step` are None for a completed run.
+    """
 
     __slots__ = (
         "kind", "status", "t", "x", "xi_bar", "q",
         "objective", "objective_rate", "entropy", "entropy_rate",
+        "divergence_reason", "divergence_step",
     )
 
-    def __init__(self, kind, status, t, x, xi_bar, q,
-                 objective, objective_rate, entropy, entropy_rate):
+    def __init__(self, kind, status, t, x, xi_bar, q, objective, objective_rate,
+                 entropy, entropy_rate, divergence_reason, divergence_step):
         self.kind = kind
         self.status = status
         self.t = t
@@ -146,6 +179,8 @@ class FlowTrace:
         self.objective_rate = objective_rate
         self.entropy = entropy
         self.entropy_rate = entropy_rate
+        self.divergence_reason = divergence_reason
+        self.divergence_step = divergence_step
 
     @property
     def final_x(self) -> Array:
@@ -162,14 +197,75 @@ class FlowTrace:
         )
 
 
-def _rk4_step(rhs, x, xi, dt):
-    k1x, k1s = rhs(x, xi)
-    k2x, k2s = rhs(x + 0.5 * dt * k1x, xi + 0.5 * dt * k1s)
-    k3x, k3s = rhs(x + 0.5 * dt * k2x, xi + 0.5 * dt * k2s)
-    k4x, k4s = rhs(x + dt * k3x, xi + dt * k3s)
-    new_x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    new_xi = xi + (dt / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-    return new_x, new_xi
+def _rk4_step(fam, x, xi, dt, sign, pin):
+    """One classical RK4 step; returns the new state and the first stage k1."""
+    k1 = _field(fam, x, xi, sign, pin)
+    k2x, k2s, _, _ = _field(fam, x + 0.5 * dt * k1[0], xi + 0.5 * dt * k1[1], sign, pin)
+    k3x, k3s, _, _ = _field(fam, x + 0.5 * dt * k2x, xi + 0.5 * dt * k2s, sign, pin)
+    k4x, k4s, _, _ = _field(fam, x + dt * k3x, xi + dt * k3s, sign, pin)
+    new_x = x + (dt / 6.0) * (k1[0] + 2.0 * k2x + 2.0 * k3x + k4x)
+    new_xi = xi + (dt / 6.0) * (k1[1] + 2.0 * k2s + 2.0 * k3s + k4s)
+    return new_x, new_xi, k1
+
+
+def _start(fam: ObjectiveFamily, x0: Array, xi: Array, cfg: FlowConfig) -> Array:
+    x = fam.check_point(x0)
+    if not np.all(np.isfinite(xi)):
+        raise InvalidDomainError("initial logits must be finite")
+    if np.abs(xi).max() > cfg.xi_cap:
+        raise InvalidDomainError("initial weights are already past the logit cap")
+    return x
+
+
+def _integrate(fam, x, xi, sign, pin, cfg):
+    """The RK4 loop over checked start arrays.
+
+    Returns (t, x, xi, q, rec, reason, step): the recorded states, rec with
+    rows objective, objective rate, entropy and entropy rate, and the
+    divergence reason and step (None when the run completed).
+    """
+    n_steps, every, dt = cfg.n_steps, cfg.record_every, cfg.dt
+    size = n_steps // every + 2
+    t = np.empty(size)
+    xs = np.empty((size, x.size))
+    xis = np.empty((size, xi.size))
+    qs = np.empty((size, xi.size))
+    rec = np.empty((4, size))
+    n = k = 0
+    reason = step = None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while True:
+            k1 = None
+            stop = k == n_steps or reason is not None
+            if not stop:
+                # A state can leave float range inside a single step
+                # (finite-time blow-up), in which case the stage evaluations
+                # themselves trip the domain validators.
+                try:
+                    new_x, new_xi, k1 = _rk4_step(fam, x, xi, dt, sign, pin)
+                    stop = not (np.all(np.isfinite(new_x)) and np.all(np.isfinite(new_xi)))
+                except InvalidDomainError:
+                    stop = True
+                if stop:
+                    reason, step = "non_finite_step", k + 1
+            if stop or k % every == 0:
+                if k1 is None:
+                    k1 = _field(fam, x, xi, sign, pin)
+                t[n], xs[n], xis[n], qs[n] = k * dt, x, xi, k1[2]
+                objective, objective_rate, entropy_rate = _rates(sign, xi, k1)
+                rec[:, n] = objective, objective_rate, _entropy(xi), entropy_rate
+                if not np.all(np.isfinite(rec[:, n])):
+                    # Near a finite-time blow-up the state can stay in float
+                    # range while the losses or rates at it overflow.
+                    reason, step, n = "non_finite_rates", k, max(n, 1)
+                    break
+                n += 1
+            if stop:
+                break
+            x, xi, k = new_x, new_xi, k + 1
+            if np.abs(xi).max() > cfg.xi_cap:
+                reason, step = "logit_cap", k
+    return t[:n], xs[:n], xis[:n], qs[:n], rec[:, :n], reason, step
 
 
 def integrate_flow(
@@ -179,122 +275,22 @@ def integrate_flow(
     kind: str,
     cfg: FlowConfig = None,
 ) -> FlowTrace:
-    """Integrate the flow from (x0, q0) with fixed-step RK4.
+    """Integrate the flow from (x0, q0) with fixed-step RK4 in the pinned chart.
 
     Records the state at t = 0, every `record_every`-th step, and the last
-    valid state.  Divergence is declared when a step produces non-finite
-    entries (that state is discarded), when the losses or rates at a
-    recorded state leave float range (those rows are dropped), or when
-    max |xi_bar| exceeds `xi_cap` (that state is kept; beyond the cap
-    exp() would overflow anyway).
+    valid state; see the module docstring for the divergence rules.
     """
     cfg = cfg or FlowConfig()
-    x = fam.check_point(x0).copy()
-    xi = logits_from_point(q0).copy()
+    xi = logits_from_point(q0)
     if xi.size != fam.S - 1:
         raise DimensionMismatchError(
             f"q0 has {q0.size} states, expected {fam.S}"
         )
-    if np.abs(xi).max() > cfg.xi_cap:
-        raise InvalidDomainError("initial weights are already past the logit cap")
-    sign = _sign(kind)
-
-    def rhs(xv, sv):
-        sigma = sigma_pinned(sv)
-        vals = fam.values(xv)
-        return -(fam.jacobian(xv).T @ sigma), sign * (vals[:-1] - vals[-1])
-
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    times = [0.0]
-    xs = [x.copy()]
-    xis = [xi.copy()]
-    status = STATUS_COMPLETED
-
-    for k in range(1, n_steps + 1):
-        # A state can leave float range inside a single step (finite-time
-        # blow-up), in which case the stage evaluations themselves trip the
-        # domain validators; both outcomes mean divergence.
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                new_x, new_xi = _rk4_step(rhs, x, xi, cfg.dt)
-        except InvalidDomainError:
-            status = STATUS_DIVERGED
-            break
-        if not (np.all(np.isfinite(new_x)) and np.all(np.isfinite(new_xi))):
-            status = STATUS_DIVERGED
-            break
-        x, xi = new_x, new_xi
-        t = k * cfg.dt
-        capped = np.abs(xi).max() > cfg.xi_cap
-        if k % cfg.record_every == 0 or k == n_steps or capped:
-            times.append(t)
-            xs.append(x.copy())
-            xis.append(xi.copy())
-        if capped:
-            status = STATUS_DIVERGED
-            break
-
-    if status == STATUS_DIVERGED and times[-1] < (k - 1) * cfg.dt:
-        # the failed step discarded its state; keep the last accepted one
-        times.append((k - 1) * cfg.dt)
-        xs.append(x.copy())
-        xis.append(xi.copy())
-
-    t_arr = np.array(times)
-    x_arr = np.array(xs)
-    xi_arr = np.array(xis)
-    n = t_arr.size
-    q_arr = np.empty((n, fam.S))
-    obj = np.empty(n)
-    obj_rate = np.empty(n)
-    ent = np.empty(n)
-    ent_rate = np.empty(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            sigma = sigma_pinned(xi_arr[i])
-            q_arr[i] = sigma
-            vals = fam.values(x_arr[i])
-            obj[i] = float(sigma @ vals)
-            obj_rate[i] = df_dt_analytic(fam, x_arr[i], xi_arr[i], kind)
-            ent[i] = _entropy_from_logits(xi_arr[i])
-            ent_rate[i] = entropy_rate_analytic(fam, x_arr[i], xi_arr[i], kind)
-
-    # Near a finite-time blow-up the state itself can stay in float range
-    # while the losses or rates at it overflow; drop such trailing rows so
-    # every recorded row is finite.
-    finite = np.isfinite(obj) & np.isfinite(obj_rate) & np.isfinite(ent_rate)
-    if not finite.all():
-        keep = max(1, int(np.argmin(finite)))
-        status = STATUS_DIVERGED
-        t_arr, x_arr, xi_arr, q_arr = (
-            t_arr[:keep],
-            x_arr[:keep],
-            xi_arr[:keep],
-            q_arr[:keep],
-        )
-        obj, obj_rate, ent, ent_rate = (
-            obj[:keep],
-            obj_rate[:keep],
-            ent[:keep],
-            ent_rate[:keep],
-        )
-
-    return FlowTrace(
-        kind=kind,
-        status=status,
-        t=t_arr,
-        x=x_arr,
-        xi_bar=xi_arr,
-        q=q_arr,
-        objective=obj,
-        objective_rate=obj_rate,
-        entropy=ent,
-        entropy_rate=ent_rate,
-    )
-
-
-GAUGE_ZERO = "zero"
-GAUGE_PIN_LAST = "pin_last"
+    xi = np.append(xi, 0.0)
+    x = _start(fam, x0, xi, cfg)
+    t, x, xi, q, rec, reason, step = _integrate(fam, x, xi, _sign(kind), True, cfg)
+    status = STATUS_COMPLETED if reason is None else STATUS_DIVERGED
+    return FlowTrace(kind, status, t, x, xi[:, :-1], q, *rec, reason, step)
 
 
 def integrate_flow_full(
@@ -311,36 +307,20 @@ def integrate_flow_full(
     a multiple of the ones vector; `gauge` picks the representative:
     "zero" uses gamma = 0, "pin_last" uses gamma = -l_S (freezing xi_S).
     Probability trajectories agree across gauges, which the checks module
-    verifies.  Returns (t, xi, q) arrays recorded at every step.
+    verifies.  Runs the same loop as `integrate_flow`, with its recording
+    grid (`record_every`), logit cap and divergence rules; returns (t, xi, q)
+    arrays at the recorded states.
     """
     cfg = cfg or FlowConfig()
-    sgn = _sign(kind)
+    sign = _sign(kind)
     if gauge not in (GAUGE_ZERO, GAUGE_PIN_LAST):
         raise ConfigError(f"unknown gauge {gauge!r}")
-    x = fam.check_point(x0).copy()
-    xi = np.asarray(xi0, dtype=float).copy()
+    xi = np.asarray(xi0, dtype=float)
     if xi.shape != (fam.S,):
         raise DimensionMismatchError(f"xi0 must have shape ({fam.S},)")
-
-    def rhs(xv, xiv):
-        probs = np.exp(xiv - np.logaddexp.reduce(xiv))
-        vals = fam.values(xv)
-        gamma = -vals[-1] if gauge == GAUGE_PIN_LAST else 0.0
-        return -(fam.jacobian(xv).T @ probs), sgn * (vals + gamma)
-
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    times = np.empty(n_steps + 1)
-    xi_arr = np.empty((n_steps + 1, fam.S))
-    q_arr = np.empty((n_steps + 1, fam.S))
-    times[0] = 0.0
-    xi_arr[0] = xi
-    q_arr[0] = np.exp(xi - np.logaddexp.reduce(xi))
-    for k in range(1, n_steps + 1):
-        x, xi = _rk4_step(rhs, x, xi, cfg.dt)
-        times[k] = k * cfg.dt
-        xi_arr[k] = xi
-        q_arr[k] = np.exp(xi - np.logaddexp.reduce(xi))
-    return times, xi_arr, q_arr
+    x = _start(fam, x0, xi, cfg)
+    t, _, xi, q, _, _, _ = _integrate(fam, x, xi, sign, gauge == GAUGE_PIN_LAST, cfg)
+    return t, xi, q
 
 
 def pseudo_riemannian_residual(fam: ObjectiveFamily, x: Array, q: SimplexPoint, kind: str) -> float:
@@ -354,10 +334,8 @@ def pseudo_riemannian_residual(fam: ObjectiveFamily, x: Array, q: SimplexPoint, 
     """
     sgn = _sign(kind)
     x = fam.check_point(x)
-    vals = fam.values(x)
+    _, field_a, _, vals = _field(fam, x, q.log_weights, sgn, True)
     cov = covariance(q)
-
-    field_a = sgn * (vals - vals[-1])
 
     eigvals, eigvecs = np.linalg.eigh(cov)
     inv = np.where(eigvals > _COV_EIG_FLOOR, 1.0 / np.where(eigvals > 0, eigvals, 1.0), 0.0)

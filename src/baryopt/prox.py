@@ -27,7 +27,7 @@ up to rounding because q' is computed in closed form from x'.
 """
 
 import numpy as np
-from scipy.special import log_softmax, logsumexp
+from scipy.special import logsumexp
 
 from .errors import (
     DimensionMismatchError,
@@ -36,7 +36,7 @@ from .errors import (
     positive_number,
 )
 from .objectives import ObjectiveFamily
-from .simplex_geometry import HybridPoint, SimplexPoint, hybrid_bregman, kl
+from .simplex_geometry import HybridPoint, SimplexPoint, _log_softmax, hybrid_bregman, kl
 
 Array = np.ndarray
 
@@ -159,7 +159,7 @@ def prox(fam: ObjectiveFamily, x, q: SimplexPoint, cfg: ProxConfig = None) -> Pr
         if not np.all(np.isfinite(vals)):
             raise InvalidDomainError("family returned non-finite loss values")
         shifted = lq + lam * vals
-        r = np.exp(log_softmax(shifted))
+        r = np.exp(_log_softmax(shifted))
         dz = z - x
         value = float(logsumexp(shifted)) / lam + 0.5 * float(dz @ dz) / lam
         grad = fam.jacobian(z).T @ r + dz / lam
@@ -170,7 +170,7 @@ def prox(fam: ObjectiveFamily, x, q: SimplexPoint, cfg: ProxConfig = None) -> Pr
 
         def hess(z):
             vals = fam.values(z)
-            r = np.exp(log_softmax(lq + lam * vals))
+            r = np.exp(_log_softmax(lq + lam * vals))
             jac = fam.jacobian(z)
             mean_grad = jac.T @ r
             curvature = np.einsum("s,sij->ij", r, fam.hessians(z))

@@ -15,14 +15,15 @@ Conventions:
     fisher_information  I(xi_bar) = Diag(sigma_bar) - sigma_bar sigma_bar^T
     christoffel         Levi-Civita symbols of I in the xi_bar chart
 
-All log-sum-exp work is max-shifted (scipy.special); linear-space
-probabilities appear only at API boundaries.  Instances and return values
-are immutable or freshly allocated, so everything here is safe to share
-across threads.
+All log-sum-exp work is max-shifted (`_log_softmax`, a numpy copy of
+scipy.special.log_softmax); linear-space probabilities appear only at API
+boundaries.  Instances and return values are immutable or freshly
+allocated, so everything here is safe to share across threads.
 """
 
+import math
+
 import numpy as np
-from scipy.special import log_softmax, logsumexp
 
 from .errors import DimensionMismatchError, InvalidDomainError
 
@@ -31,6 +32,19 @@ Array = np.ndarray
 # Linear-space probabilities at or below this floor count as boundary points
 # and are rejected; log-space representations stay finite instead.
 PROB_FLOOR = 1e-300
+
+
+def _log_softmax(xi: Array) -> Array:
+    """scipy.special.log_softmax of a 1-d array, step for step and digit for digit.
+
+    Calling the ufunc reductions directly and entering no errstate (the log
+    warns only when every entry is -inf) makes it several times cheaper.
+    """
+    top = np.maximum.reduce(xi, keepdims=True)
+    if not math.isfinite(top[0]):
+        top[0] = 0.0
+    shifted = xi - top
+    return shifted - np.log(np.add.reduce(np.exp(shifted), keepdims=True))
 
 
 def _frozen(values) -> Array:
@@ -57,7 +71,7 @@ class SimplexPoint:
             )
         if not np.all(np.isfinite(lw)):
             raise InvalidDomainError("logit entries must be finite")
-        self.log_weights = _frozen(log_softmax(lw))
+        self.log_weights = _frozen(_log_softmax(lw))
 
     @classmethod
     def from_probs(cls, probs) -> "SimplexPoint":
@@ -175,7 +189,7 @@ def as_logits(xi_bar) -> Array:
 def sigma_pinned(xi_bar) -> Array:
     """Full probability vector of the pinned chart: softargmax((xi_bar, 0))."""
     xb = as_logits(xi_bar)
-    return np.exp(log_softmax(np.append(xb, 0.0)))
+    return np.exp(_log_softmax(np.append(xb, 0.0)))
 
 
 def point_from_logits(xi_bar) -> SimplexPoint:

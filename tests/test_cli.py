@@ -98,6 +98,8 @@ class TestFlowRun:
         trace = (tmp_path / "flow.trace.csv").read_text().splitlines()
         assert trace[0] == "t,x0,q0,q1,F,df_dt_analytic,entropy,entropy_rate_analytic"
         assert len(trace) == 52  # header + 51 recorded states
+        summary = json.loads((tmp_path / "flow.summary.json").read_text())
+        assert summary["divergence_reason"] is None and summary["divergence_step"] is None
 
     def test_divergence_exits_not_converged(self, tmp_path):
         doc = {
@@ -110,6 +112,8 @@ class TestFlowRun:
         assert main(["run", cfg, "--out-dir", str(tmp_path)]) == EXIT_NOT_CONVERGED
         summary = json.loads((tmp_path / "config.summary.json").read_text())
         assert summary["status"] == "diverged"
+        assert summary["divergence_reason"] == "logit_cap"
+        assert summary["divergence_step"] == round(summary["t_final"] / 0.01)
 
     def test_json_trace_matches_csv(self, tmp_path):
         doc = {
@@ -278,6 +282,28 @@ class TestConfigErrors:
     ])
     def test_invalid_ppa_param_is_one_error_line(self, tmp_path, capsys, params, fragment):
         cfg = _write_config(tmp_path, _ppa_config(**params))
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == EXIT_FAILED
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("error: ") and fragment in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("params, fragment", [
+        ({"xi_cap": float("nan")}, "xi_cap must be finite"),
+        ({"record_every": 2.5}, "record_every must be an integer >= 1"),
+        ({"record_every": True}, "record_every must be a number"),
+        ({"t_end": "abc"}, "t_end must be a number"),
+        ({"dt": "x"}, "dt must be a number"),
+        ({"t_end": 1.0, "dt": 0.6}, "not a whole number of steps"),
+    ])
+    def test_invalid_flow_param_is_one_error_line(self, tmp_path, capsys, params, fragment):
+        doc = {
+            "problem": {"kind": "symmetric_quadratic"},
+            "method": "flow_min_max",
+            "params": params,
+            "init": {"x": [0.3], "q": [0.3, 0.7]},
+        }
+        cfg = _write_config(tmp_path, doc)
         assert main(["run", cfg, "--out-dir", str(tmp_path)]) == EXIT_FAILED
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [captured.err.strip()]

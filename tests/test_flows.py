@@ -25,8 +25,8 @@ from baryopt.flows import (
     integrate_flow_full,
     pseudo_riemannian_residual,
 )
-from baryopt.objectives import ObjectiveFamily, symmetric_quadratic
-from baryopt.simplex_geometry import SimplexPoint, logits_from_point
+from baryopt.objectives import ObjectiveFamily, random_quadratic, symmetric_quadratic
+from baryopt.simplex_geometry import SimplexPoint, logits_from_point, point_from_logits
 
 
 class _CubicBlowup(ObjectiveFamily):
@@ -42,6 +42,21 @@ class _CubicBlowup(ObjectiveFamily):
     def jacobian(self, x):
         x = self.check_point(x)
         return np.array([[-3.0 * x[0] ** 2], [-3.0 * x[0] ** 2]])
+
+
+class _Counting(ObjectiveFamily):
+    """Wraps a family and counts its `values` calls."""
+
+    def __init__(self, inner):
+        self.inner, self.m, self.S = inner, inner.m, inner.S
+        self.values_calls = 0
+
+    def values(self, x):
+        self.values_calls += 1
+        return self.inner.values(x)
+
+    def jacobian(self, x):
+        return self.inner.jacobian(x)
 
 
 def _start():
@@ -91,12 +106,18 @@ class TestVectorField:
         with pytest.raises(ConfigError):
             flow_vector_field(fam, np.zeros(1), np.zeros(1), "max_min")
 
+    @pytest.mark.parametrize("rate", [df_dt_analytic, entropy_rate_analytic])
+    def test_rates_reject_wrong_chart_size(self, rate):
+        with pytest.raises(DimensionMismatchError, match="xi_bar has 2 entries"):
+            rate(symmetric_quadratic(), np.zeros(1), np.zeros(2), KIND_MIN_MAX)
+
 
 class TestAscentFlowEquilibrium:
     def test_long_run_lands_on_the_equilibrium(self):
         x, q = _start()
         tr = integrate_flow(symmetric_quadratic(), x, q, KIND_MIN_MAX)
         assert tr.status == STATUS_COMPLETED
+        assert tr.divergence_reason is None and tr.divergence_step is None
         np.testing.assert_allclose(tr.final_x, 0.0, atol=1e-8)
         np.testing.assert_allclose(tr.final_xi_bar, 0.0, atol=1e-8)
         np.testing.assert_allclose(tr.objective[-1], 0.5, atol=1e-8)
@@ -158,6 +179,8 @@ class TestDivergence:
         assert tr.status == STATUS_DIVERGED
         assert np.abs(tr.final_xi_bar).max() > 5.0
         assert tr.t[-1] < 200.0
+        assert tr.divergence_reason == "logit_cap"
+        assert tr.t[-1] == tr.divergence_step * 0.01
         assert np.all(np.isfinite(tr.xi_bar))
 
     def test_finite_time_blowup(self):
@@ -172,9 +195,24 @@ class TestDivergence:
         )
         assert tr.status == STATUS_DIVERGED
         assert tr.t[-1] < 5.0
+        assert tr.divergence_reason == "non_finite_rates"
+        assert tr.divergence_step * 0.01 > tr.t[-1]
         for arr in (tr.x, tr.xi_bar, tr.q, tr.objective, tr.objective_rate,
                     tr.entropy, tr.entropy_rate):
             assert np.all(np.isfinite(arr))
+
+    def test_blowup_within_one_step(self):
+        """A step that leaves float range ends the run at the last accepted state."""
+        tr = integrate_flow(
+            _CubicBlowup(),
+            np.array([1.0]),
+            SimplexPoint.uniform(2),
+            KIND_MIN_MAX,
+            FlowConfig(t_end=5.0, dt=0.05),
+        )
+        assert tr.status == STATUS_DIVERGED
+        assert tr.divergence_reason == "non_finite_step"
+        assert tr.t[-1] == (tr.divergence_step - 1) * 0.05
 
     def test_initial_state_past_cap_is_rejected(self):
         with pytest.raises(InvalidDomainError):
@@ -219,6 +257,74 @@ class TestFullLogitIntegration:
                 gauge="mean_zero",
             )
 
+    def test_records_follow_the_grid_and_the_cap(self):
+        fam = symmetric_quadratic()
+        args = (np.array([0.3]), np.array([0.2, -0.4]), KIND_MIN_MIN)
+        t, xi, q = integrate_flow_full(fam, *args, FlowConfig(t_end=0.5, dt=0.01, record_every=8))
+        np.testing.assert_allclose(t, [0.0, 0.08, 0.16, 0.24, 0.32, 0.40, 0.48, 0.50], atol=1e-12)
+        assert xi.shape == q.shape == (8, 2)
+        t, xi, _ = integrate_flow_full(fam, *args, FlowConfig(t_end=200.0, dt=0.01, xi_cap=5.0))
+        assert t[-1] < 200.0 and np.abs(xi[-1]).max() > 5.0
+
+    def test_rejects_bad_start_logits(self):
+        fam = symmetric_quadratic()
+        with pytest.raises(InvalidDomainError, match="initial logits must be finite"):
+            integrate_flow_full(fam, np.zeros(1), np.array([np.nan, 0.0]), KIND_MIN_MAX)
+        with pytest.raises(InvalidDomainError, match="logit cap"):
+            integrate_flow_full(fam, np.zeros(1), np.array([800.0, 0.0]), KIND_MIN_MAX)
+
+
+class TestSingleEngine:
+    """Every entry point runs the same right-hand side and RK4 loop."""
+
+    def test_records_equal_the_analytic_functions(self):
+        """Each recorded row comes from the k1 stage at that very state."""
+        quad = random_quadratic(np.random.default_rng(3), m=2, S=3)
+        runs = [
+            (symmetric_quadratic(), *_start(), KIND_MIN_MAX, FlowConfig(t_end=2.0, dt=0.01)),
+            (quad, np.array([0.5, -0.2]), SimplexPoint.from_probs([0.2, 0.3, 0.5]), KIND_MIN_MIN,
+             FlowConfig(t_end=2.0, dt=0.01, record_every=3)),
+        ]
+        for fam, x0, q0, kind, cfg in runs:
+            tr = integrate_flow(fam, x0, q0, kind, cfg)
+            for x, xb, q, obj, rate, ent, ent_rate in zip(
+                tr.x, tr.xi_bar, tr.q, tr.objective, tr.objective_rate, tr.entropy,
+                tr.entropy_rate,
+            ):
+                assert rate == df_dt_analytic(fam, x, xb, tr.kind)
+                assert ent_rate == entropy_rate_analytic(fam, x, xb, tr.kind)
+                assert obj == float(q @ fam.values(x))
+                # The record normalizes the raw logits (xi_bar, 0) itself;
+                # `entropy` gets them already normalized by SimplexPoint.
+                assert ent == pytest.approx(entropy(point_from_logits(xb)), rel=0, abs=1e-15)
+
+    def test_pin_last_full_run_is_the_pinned_chart(self):
+        fam = random_quadratic(np.random.default_rng(4), m=2, S=3)
+        x0, q0 = np.array([0.5, -0.2]), SimplexPoint.from_probs([0.2, 0.3, 0.5])
+        for kind in (KIND_MIN_MAX, KIND_MIN_MIN):
+            cfg = FlowConfig(t_end=2.0, dt=0.01, record_every=3)
+            tr = integrate_flow(fam, x0, q0, kind, cfg)
+            t, xi, q = integrate_flow_full(
+                fam, x0, np.append(logits_from_point(q0), 0.0), kind, cfg, gauge="pin_last")
+            assert np.array_equal(t, tr.t)
+            assert np.array_equal(xi[:, :-1], tr.xi_bar) and np.all(xi[:, -1] == 0.0)
+            assert np.array_equal(q, tr.q)
+
+    @pytest.mark.parametrize("cfg", [
+        FlowConfig(t_end=0.5, dt=0.01),
+        FlowConfig(t_end=0.5, dt=0.01, record_every=8),
+        FlowConfig(t_end=200.0, dt=0.01, xi_cap=5.0),
+    ])
+    def test_one_extra_evaluation_per_run(self, cfg):
+        """4 loss evaluations per RK4 step, plus one for the last state."""
+        fam = _Counting(symmetric_quadratic())
+        tr = integrate_flow(fam, *_start(), KIND_MIN_MIN, cfg)
+        steps = int(round(tr.t[-1] / cfg.dt))
+        assert fam.values_calls == 4 * steps + 1
+        fam.values_calls = 0
+        t, _, _ = integrate_flow_full(fam, np.array([0.3]), np.zeros(2), KIND_MIN_MIN, cfg)
+        assert fam.values_calls == 4 * int(round(t[-1] / cfg.dt)) + 1
+
 
 class TestPseudoRiemannianRewrite:
     def test_interior_point(self):
@@ -247,3 +353,14 @@ class TestConfigValidation:
             FlowConfig(record_every=0)
         with pytest.raises(ConfigError):
             FlowConfig(xi_cap=-1.0)
+        with pytest.raises(ConfigError, match="xi_cap must be finite"):
+            FlowConfig(xi_cap=float("nan"))
+        with pytest.raises(ConfigError, match="record_every must be an integer"):
+            FlowConfig(record_every=2.5)
+        with pytest.raises(ConfigError, match="record_every must be a number"):
+            FlowConfig(record_every=True)
+        with pytest.raises(ConfigError, match="t_end must be a number"):
+            FlowConfig(t_end="abc")
+        for dt in (0.6, 0.4):  # round(t_end / dt) * dt would end at 1.2 or 0.8
+            with pytest.raises(ConfigError, match="not a whole number of steps"):
+                FlowConfig(t_end=1.0, dt=dt)

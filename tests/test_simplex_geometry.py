@@ -9,11 +9,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import log_softmax
 
 from baryopt.errors import DimensionMismatchError, InvalidDomainError
 from baryopt.simplex_geometry import (
     HybridPoint,
     SimplexPoint,
+    _log_softmax,
     christoffel,
     covariance,
     covariance_derivative_tensor,
@@ -84,6 +86,23 @@ class TestSimplexPoint:
         q = SimplexPoint(np.array([600.0, 0.0]))
         assert np.all(np.isfinite(q.log_weights))
         np.testing.assert_allclose(q.log_weights[1], -600.0, rtol=1e-12)
+
+
+class TestLogSoftmax:
+    def test_matches_scipy_bit_for_bit(self):
+        """The package's one log-softmax repeats scipy's steps exactly."""
+        rng = np.random.default_rng(0)
+        for size in (2, 3, 5, 17, 64, 257):
+            for scale in (1e-3, 1.0, 30.0, 1e5):
+                for _ in range(20):
+                    xi = rng.normal(size=size) * scale
+                    assert np.array_equal(_log_softmax(xi), log_softmax(xi))
+
+    def test_non_finite_max_is_not_shifted(self):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for xi in ([np.inf, 0.0], [-np.inf, 0.0], [np.nan, 1.0], [-np.inf, -np.inf]):
+                xi = np.array(xi)
+                assert np.array_equal(_log_softmax(xi), log_softmax(xi), equal_nan=True)
 
 
 class TestEntropyAndKl:
