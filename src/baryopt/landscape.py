@@ -29,10 +29,12 @@ interior critical points are saddles or degenerate, never local minima.
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateMetricError,
     DimensionMismatchError,
     HessiansUnavailableError,
     InvalidDomainError,
+    positive_number,
 )
 from .objectives import ObjectiveFamily
 from .prox import ProxConfig, prox
@@ -98,20 +100,18 @@ def f_bar(fam: ObjectiveFamily, point: LandscapePoint) -> float:
     return float(sigma_pinned(xb) @ fam.values(x))
 
 
-def grad_f_bar(fam: ObjectiveFamily, point: LandscapePoint) -> Array:
-    """Gradient (J_l^T sigma, I(xi_bar) lbar), concatenated to length m + S - 1."""
-    x, xb = _check(fam, point)
-    sigma = sigma_pinned(xb)
-    vals = fam.values(x)
-    lbar = vals[:-1] - vals[-1]
+def _evaluate(fam: ObjectiveFamily, x, xb):
+    """Pinned probabilities, loss values, Jacobian and Fisher information."""
     fim, _ = fisher_information(xb)
-    return np.concatenate([fam.jacobian(x).T @ sigma, fim @ lbar])
+    return sigma_pinned(xb), fam.values(x), fam.jacobian(x), fim
 
 
-def metric(point: LandscapePoint) -> Array:
-    """Product metric blockdiag(Id_m, I(xi_bar))."""
-    m = point.x.size
-    fim, _ = fisher_information(point.xi_bar)
+def _gradient(sigma, vals, jac, fim) -> Array:
+    lbar = vals[:-1] - vals[-1]
+    return np.concatenate([jac.T @ sigma, fim @ lbar])
+
+
+def _metric(m, fim) -> Array:
     n = fim.shape[0]
     out = np.zeros((m + n, m + n))
     out[:m, :m] = np.eye(m)
@@ -119,40 +119,51 @@ def metric(point: LandscapePoint) -> Array:
     return out
 
 
-def euclidean_hessian(fam: ObjectiveFamily, point: LandscapePoint) -> Array:
-    """Euclidean Hessian of f_bar in the chart, assembled blockwise.
-
-    The xi_bar block is the covariance-derivative contraction
-    (T(sb) x_2 lbar) I; the cross block is J_lbar^T I.
-    """
-    x, xb = _check(fam, point)
-    hess = fam.hessians(x)
-    if hess is None:
+def _euclidean(fam: ObjectiveFamily, x, sigma, vals, jac, fim) -> Array:
+    curvature = fam.weighted_hessian(x, sigma)
+    if curvature is None:
         raise HessiansUnavailableError(
             "euclidean_hessian needs a family with second derivatives"
         )
-    sigma = sigma_pinned(xb)
-    sb = sigma[:-1]
-    vals = fam.values(x)
     lbar = vals[:-1] - vals[-1]
-    jac = fam.jacobian(x)
     jbar = jac[:-1] - jac[-1]
-    fim, _ = fisher_information(xb)
-
     m = fam.m
     n = fam.S - 1
     out = np.zeros((m + n, m + n))
-    out[:m, :m] = np.einsum("s,sij->ij", sigma, hess)
+    out[:m, :m] = curvature
     cross = jbar.T @ fim
     out[:m, m:] = cross
     out[m:, :m] = cross.T
-    tensor = covariance_derivative_tensor(sb)
+    tensor = covariance_derivative_tensor(sigma[:-1])
     out[m:, m:] = np.einsum("ijk,j->ik", tensor, lbar) @ fim
     return out
 
 
-def _riemannian_xi_block(xb, vals):
-    sigma = sigma_pinned(xb)
+def grad_f_bar(fam: ObjectiveFamily, point: LandscapePoint) -> Array:
+    """Gradient (J_l^T sigma, I(xi_bar) lbar), concatenated to length m + S - 1."""
+    x, xb = _check(fam, point)
+    return _gradient(*_evaluate(fam, x, xb))
+
+
+def metric(point: LandscapePoint) -> Array:
+    """Product metric blockdiag(Id_m, I(xi_bar))."""
+    fim, _ = fisher_information(point.xi_bar)
+    return _metric(point.x.size, fim)
+
+
+def euclidean_hessian(fam: ObjectiveFamily, point: LandscapePoint) -> Array:
+    """Euclidean Hessian of f_bar in the chart, assembled blockwise.
+
+    The x block is the family's `weighted_hessian` at the pinned weights
+    (HessiansUnavailableError when it has none); the xi_bar block is the
+    covariance-derivative contraction (T(sb) x_2 lbar) I; the cross block is
+    J_lbar^T I.
+    """
+    x, xb = _check(fam, point)
+    return _euclidean(fam, x, *_evaluate(fam, x, xb))
+
+
+def _riemannian_xi_block(sigma, vals):
     sb = sigma[:-1]
     lbar = vals[:-1] - vals[-1]
     d = lbar - float(sb @ lbar)
@@ -195,17 +206,23 @@ def riemannian_hessian(
     DegenerateMetricError when B1 is singular), and the classification:
     "saddle" when the point is critical, B1 is positive definite, and B2 has
     a negative eigenvalue; "degenerate" when critical with B2 vanishing to
-    tolerance; "not-critical" otherwise.
+    tolerance; "not-critical" otherwise.  The tolerances must be positive
+    numbers (ConfigError otherwise).
+
+    The family's values, Jacobian and weighted Hessian and the Fisher
+    information are evaluated once and shared by every block.
     """
+    eps_critical = positive_number(eps_critical, "eps_critical", ConfigError)
+    eps_eig_scale = positive_number(eps_eig_scale, "eps_eig_scale", ConfigError)
     x, xb = _check(fam, point)
-    euclid = euclidean_hessian(fam, point)
-    vals = fam.values(x)
+    sigma, vals, jac, fim = _evaluate(fam, x, xb)
+    euclid = _euclidean(fam, x, sigma, vals, jac, fim)
     m = fam.m
 
     riem = euclid.copy()
-    riem[m:, m:] = _riemannian_xi_block(xb, vals)
+    riem[m:, m:] = _riemannian_xi_block(sigma, vals)
 
-    grad_norm = float(np.linalg.norm(grad_f_bar(fam, point)))
+    grad_norm = float(np.linalg.norm(_gradient(sigma, vals, jac, fim)))
     eigvals = np.linalg.eigvalsh(0.5 * (riem + riem.T))
     eps_eig = eps_eig_scale * (1.0 + float(np.abs(eigvals).max()))
     inertia = (
@@ -220,8 +237,6 @@ def riemannian_hessian(
         raise DegenerateMetricError(
             "x block of the Hessian is singular; Schur complement unavailable"
         )
-    fim, _ = fisher_information(xb)
-    jac = fam.jacobian(x)
     jbar = jac[:-1] - jac[-1]
     coupling = fim @ jbar  # (S-1) x m
     b2 = riem[m:, m:] - coupling @ np.linalg.solve(b1, coupling.T)
@@ -238,7 +253,7 @@ def riemannian_hessian(
     return HessianReport(
         euclidean=euclid,
         riemannian=riem,
-        metric_matrix=metric(point),
+        metric_matrix=_metric(m, fim),
         grad_norm=grad_norm,
         inertia=inertia,
         schur_b2=b2,

@@ -2,10 +2,13 @@
 
 An `ObjectiveFamily` evaluates S >= 2 smooth real losses jointly: `values`
 returns the S loss values, `jacobian` the S x m matrix of gradients (one row
-per loss), and `hessians` an (S, m, m) stack or None when second derivatives
-are unavailable.  Tensorization combines two families on the same R^m into
-the outer-sum family [l1 (+) l2]_{jk} = l1_j + l2_k, flattened row-major
-(index (j, k) -> j * S2 + k), with the matching outer product of weights.
+per loss), `hessians` an (S, m, m) stack or None when second derivatives
+are unavailable, and `weighted_hessian` the contraction sum_s r_s H_s that
+Newton steps need (built on `hessians` by default; families that can
+contract without building the stack override it).  Tensorization combines
+two families on the same R^m into the outer-sum family
+[l1 (+) l2]_{jk} = l1_j + l2_k, flattened row-major (index (j, k) ->
+j * S2 + k), with the matching outer product of weights.
 """
 
 import numpy as np
@@ -33,6 +36,13 @@ class ObjectiveFamily:
     def hessians(self, x):
         """(S, m, m) stack of loss Hessians, or None when unavailable."""
         return None
+
+    def weighted_hessian(self, x, r):
+        """m x m matrix sum_s r_s H_s(x), or None when Hessians are unavailable."""
+        hess = self.hessians(x)
+        if hess is None:
+            return None
+        return np.einsum("s,sij->ij", r, hess)
 
     def check_point(self, x) -> Array:
         x = np.asarray(x, dtype=float)
@@ -70,17 +80,25 @@ class QuadraticFamily(ObjectiveFamily):
         self.A, self.b, self.c = A, b, c
         self.S, self.m = S, m
 
+    # Both kernels reduce through the batched matrix-vector product A @ x
+    # (BLAS), which is faster and more accurate than a three-operand einsum.
+    # The values are grouped as 0.5 * x^T (A x) + b^T x + c, which rounds
+    # like the textbook form at m = 1; (0.5 A x + b)^T x does not.
     def values(self, x):
         x = self.check_point(x)
-        return 0.5 * np.einsum("i,sij,j->s", x, self.A, x) + self.b @ x + self.c
+        return 0.5 * ((self.A @ x) @ x) + self.b @ x + self.c
 
     def jacobian(self, x):
         x = self.check_point(x)
-        return np.einsum("sij,j->si", self.A, x) + self.b
+        return self.A @ x + self.b
 
     def hessians(self, x):
         self.check_point(x)
         return self.A.copy()
+
+    def weighted_hessian(self, x, r):
+        self.check_point(x)
+        return np.einsum("s,sij->ij", r, self.A)
 
 
 class ConstantFamily(ObjectiveFamily):

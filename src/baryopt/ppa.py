@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .objectives import ObjectiveFamily
-from .prox import ProxConfig, prox
+from .prox import ProxConfig, _certificates, prox
 from .errors import ConfigError, ProxNonConvergenceError, positive_number
 from .simplex_geometry import HybridPoint, SimplexPoint, hybrid_bregman
 
@@ -134,15 +134,15 @@ class PpaTrace:
 
 def _record(fam, k, state, step):
     """Record of `state` at iteration k; its displacement is filled in later."""
-    vals = fam.values(state.x)
     probs = state.q.probs
+    vals, barygrad_norm, spread = _certificates(fam, state.x, probs)
     return PpaRecord(
         k=k,
         x=state.x,
         q=state.q,
         objective=float(probs @ vals),
-        barygrad_norm=float(np.linalg.norm(fam.jacobian(state.x).T @ probs)),
-        loss_spread=float(vals.max() - vals.min()),
+        barygrad_norm=barygrad_norm,
+        loss_spread=spread,
         prox_displacement=math.nan,
         step_bregman=step,
     )

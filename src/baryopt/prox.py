@@ -13,9 +13,9 @@ objective
 
 a (1/lam)-strongly convex function whose gradient is the barygradient under
 the reweighted point r(z) plus (z - x)/lam.  The solver descends phi from the
-warm start z = x with Armijo backtracking; when the family provides Hessians
-it takes damped Newton directions (the plain gradient path remains available
-via `ProxConfig.allow_newton=False`).
+warm start z = x with Armijo backtracking; when the family provides
+`weighted_hessian` it takes damped Newton directions (the plain gradient path
+remains available via `ProxConfig.allow_newton=False`).
 
 Stationarity of the returned pair:
 
@@ -83,20 +83,23 @@ class ProxResult:
         )
 
 
-def _descend(value_grad, hess, z0, tol, max_iter, gd_step):
-    """Armijo descent to ||grad|| <= tol, Newton directions when hess is given.
+def _descend(evaluate, hess, z0, tol, max_iter, gd_step):
+    """Armijo descent to ||grad|| <= tol, Newton directions while hess gives them.
 
-    value_grad(z) -> (value, grad); hess(z) -> SPD matrix or None.
-    Returns (z, value, grad, steps); raises ProxNonConvergenceError with the
-    best iterate attached when the budget runs out.
+    evaluate(z) -> (value, grad, ev), where ev carries what the caller
+    computed at z; hess(z, ev) -> SPD matrix, or None when second derivatives
+    are unavailable, after which every step is a gradient step.  The Newton
+    matrix at z reuses the evaluation that accepted z, so no point is
+    evaluated twice.  Returns (z, ev, steps); raises ProxNonConvergenceError
+    with the best iterate attached when the budget runs out.
     """
     z = np.array(z0, dtype=float)
-    value, grad = value_grad(z)
+    value, grad, ev = evaluate(z)
     steps = 0
     while True:
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= tol:
-            return z, value, grad, steps
+            return z, ev, steps
         if steps >= max_iter:
             raise ProxNonConvergenceError(
                 f"inner solver: no convergence after {steps} steps "
@@ -108,14 +111,17 @@ def _descend(value_grad, hess, z0, tol, max_iter, gd_step):
         direction = None
         step0 = gd_step
         if hess is not None:
-            H = hess(z)
-            try:
-                candidate = -np.linalg.solve(H, grad)
-                if candidate @ grad < 0:
-                    direction = candidate
-                    step0 = 1.0
-            except np.linalg.LinAlgError:
-                pass
+            H = hess(z, ev)
+            if H is None:
+                hess = None
+            else:
+                try:
+                    candidate = -np.linalg.solve(H, grad)
+                    if candidate @ grad < 0:
+                        direction = candidate
+                        step0 = 1.0
+                except np.linalg.LinAlgError:
+                    pass
         if direction is None:
             direction = -grad
         slope = float(direction @ grad)
@@ -123,7 +129,7 @@ def _descend(value_grad, hess, z0, tol, max_iter, gd_step):
         slack = _ROUNDOFF_SLACK * (1.0 + abs(value))
         for _ in range(_MAX_HALVINGS):
             z_new = z + t * direction
-            value_new, grad_new = value_grad(z_new)
+            value_new, grad_new, ev_new = evaluate(z_new)
             if value_new <= value + _ARMIJO_SLOPE * t * slope + slack:
                 break
             t *= _ARMIJO_SHRINK
@@ -134,7 +140,7 @@ def _descend(value_grad, hess, z0, tol, max_iter, gd_step):
                 grad_norm=grad_norm,
                 iterations=steps,
             )
-        z, value, grad = z_new, value_new, grad_new
+        z, value, grad, ev = z_new, value_new, grad_new, ev_new
         steps += 1
 
 
@@ -145,6 +151,12 @@ def prox(fam: ObjectiveFamily, x, q: SimplexPoint, cfg: ProxConfig = None) -> Pr
     ||grad phi(z)|| * max(1, lam) <= inner_tol, then recovers
     q' proportional to q * exp(lam * l(x')) in log space.  The returned
     residuals are the stationarity defects of the two blocks.
+
+    Each point is evaluated once: the loss values, Jacobian and weights that
+    the line search computed at an accepted point also build the Newton
+    matrix there (with `weighted_hessian`, which is None for families
+    without Hessians, so the solver then takes gradient steps) and, at the
+    last point, the residuals.
     """
     if cfg is None:
         cfg = ProxConfig()
@@ -154,7 +166,7 @@ def prox(fam: ObjectiveFamily, x, q: SimplexPoint, cfg: ProxConfig = None) -> Pr
     lam = cfg.lam
     lq = q.log_weights
 
-    def value_grad(z):
+    def evaluate(z):
         vals = fam.values(z)
         if not np.all(np.isfinite(vals)):
             raise InvalidDomainError("family returned non-finite loss values")
@@ -162,32 +174,30 @@ def prox(fam: ObjectiveFamily, x, q: SimplexPoint, cfg: ProxConfig = None) -> Pr
         r = np.exp(_log_softmax(shifted))
         dz = z - x
         value = float(logsumexp(shifted)) / lam + 0.5 * float(dz @ dz) / lam
-        grad = fam.jacobian(z).T @ r + dz / lam
-        return value, grad
+        jac = fam.jacobian(z)
+        mean_grad = jac.T @ r
+        return value, mean_grad + dz / lam, (vals, jac, r, mean_grad)
 
-    hess = None
-    if cfg.allow_newton and fam.hessians(x) is not None:
-
-        def hess(z):
-            vals = fam.values(z)
-            r = np.exp(_log_softmax(lq + lam * vals))
-            jac = fam.jacobian(z)
-            mean_grad = jac.T @ r
-            curvature = np.einsum("s,sij->ij", r, fam.hessians(z))
-            spread = (jac.T * r) @ jac - np.outer(mean_grad, mean_grad)
-            return curvature + lam * spread + np.eye(fam.m) / lam
+    def hess(z, ev):
+        _, jac, r, mean_grad = ev
+        curvature = fam.weighted_hessian(z, r)
+        if curvature is None:
+            return None
+        spread = (jac.T * r) @ jac - np.outer(mean_grad, mean_grad)
+        return curvature + lam * spread + np.eye(fam.m) / lam
 
     tol = cfg.inner_tol / max(1.0, lam)
     try:
-        z, _, _, steps = _descend(value_grad, hess, x, tol, cfg.inner_max_iter, gd_step=lam)
+        z, ev, steps = _descend(evaluate, hess if cfg.allow_newton else None, x, tol,
+                                cfg.inner_max_iter, gd_step=lam)
     except ProxNonConvergenceError as err:
         if err.x is not None and err.q is None:
             err.q = SimplexPoint(lq + lam * fam.values(err.x))
         raise
 
-    vals = fam.values(z)
+    vals, jac, _, _ = ev
     q_out = SimplexPoint(lq + lam * vals)
-    r_x = float(np.linalg.norm(x - z - lam * (fam.jacobian(z).T @ q_out.probs)))
+    r_x = float(np.linalg.norm(x - z - lam * (jac.T @ q_out.probs)))
     gauge = q_out.log_weights - lam * vals - lq
     r_q = 0.5 * float(gauge.max() - gauge.min())
     return ProxResult(x=z, q=q_out, inner_iterations=steps, residual=(r_x, r_q))
@@ -213,20 +223,19 @@ def minimize_fixed_weights(fam: ObjectiveFamily, x, r: SimplexPoint, cfg: ProxCo
     lam = cfg.lam
     p = r.probs
 
-    def value_grad(z):
+    def evaluate(z):
         dz = z - x
         value = float(p @ fam.values(z)) + 0.5 * float(dz @ dz) / lam
         grad = fam.jacobian(z).T @ p + dz / lam
-        return value, grad
+        return value, grad, None
 
-    hess = None
-    if cfg.allow_newton and fam.hessians(x) is not None:
-
-        def hess(z):
-            return np.einsum("s,sij->ij", p, fam.hessians(z)) + np.eye(fam.m) / lam
+    def hess(z, _):
+        curvature = fam.weighted_hessian(z, p)
+        return None if curvature is None else curvature + np.eye(fam.m) / lam
 
     tol = cfg.inner_tol / max(1.0, lam)
-    z, _, _, _ = _descend(value_grad, hess, x, tol, cfg.inner_max_iter, gd_step=lam)
+    z, _, _ = _descend(evaluate, hess if cfg.allow_newton else None, x, tol,
+                       cfg.inner_max_iter, gd_step=lam)
     return z
 
 
@@ -290,8 +299,13 @@ def fixed_point_residual(fam: ObjectiveFamily, p: HybridPoint, cfg: ProxConfig =
     weighted gradient J^T q, the spread max l - min l, and the hybrid
     Bregman divergence D_f(prox(x, q), (x, q)).
     """
-    vals = fam.values(p.x)
-    barygrad_norm = float(np.linalg.norm(fam.jacobian(p.x).T @ p.q.probs))
-    spread = float(vals.max() - vals.min())
+    _, barygrad_norm, spread = _certificates(fam, p.x, p.q.probs)
     displacement = hybrid_bregman(prox(fam, p.x, p.q, cfg).point, p)
     return barygrad_norm, spread, displacement
+
+
+def _certificates(fam: ObjectiveFamily, x, probs):
+    """Loss values, weighted-gradient norm ||J^T q|| and loss spread at (x, q)."""
+    vals = fam.values(x)
+    barygrad_norm = float(np.linalg.norm(fam.jacobian(x).T @ probs))
+    return vals, barygrad_norm, float(vals.max() - vals.min())

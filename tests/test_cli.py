@@ -310,6 +310,28 @@ class TestConfigErrors:
         assert captured.err.startswith("error: ") and fragment in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("key", ["eps_critical", "eps_eig_scale"])
+    @pytest.mark.parametrize("value, fragment", [
+        ("abc", "must be a number"),
+        (float("nan"), "must be finite"),
+        (-1, "must be positive"),
+        (True, "must be a number"),
+    ])
+    def test_invalid_landscape_param_is_one_error_line(self, tmp_path, capsys, key, value,
+                                                        fragment):
+        doc = {
+            "problem": {"kind": "symmetric_quadratic"},
+            "method": "landscape",
+            "params": {key: value},
+            "init": {"x": [0.0], "q": [0.5, 0.5]},
+        }
+        cfg = _write_config(tmp_path, doc)
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == EXIT_FAILED
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(f"error: {key} ") and fragment in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_bad_output_format_in_config(self, tmp_path, capsys):
         doc = _ppa_config()
         doc["output"] = {"format": "xml"}

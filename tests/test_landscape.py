@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from baryopt.errors import (
+    ConfigError,
     DegenerateMetricError,
     DimensionMismatchError,
     HessiansUnavailableError,
@@ -132,6 +133,49 @@ class TestEquilibriumSaddleReport:
         np.testing.assert_allclose(hess, fd, atol=1e-8)
 
 
+class TestSingleEvaluation:
+    def test_report_evaluates_each_input_once(self, monkeypatch):
+        """One values, jacobian, weighted_hessian and fisher_information call
+        per report, no Hessian stack, and blocks equal to the public functions."""
+        import baryopt.landscape as landscape_module
+
+        calls = {"values": 0, "jacobian": 0, "hessians": 0, "weighted_hessian": 0, "fim": 0}
+
+        class _Counting(QuadraticFamily):
+            def values(self, x):
+                calls["values"] += 1
+                return super().values(x)
+
+            def jacobian(self, x):
+                calls["jacobian"] += 1
+                return super().jacobian(x)
+
+            def hessians(self, x):
+                calls["hessians"] += 1
+                return super().hessians(x)
+
+            def weighted_hessian(self, x, r):
+                calls["weighted_hessian"] += 1
+                return super().weighted_hessian(x, r)
+
+        fisher = landscape_module.fisher_information
+
+        def counted_fisher(xi_bar):
+            calls["fim"] += 1
+            return fisher(xi_bar)
+
+        rng = np.random.default_rng(25)
+        base = random_quadratic(rng, m=3, S=4)
+        fam = _Counting(base.A, base.b, base.c)
+        point = LandscapePoint(rng.normal(size=3), rng.normal(size=3))
+        monkeypatch.setattr(landscape_module, "fisher_information", counted_fisher)
+        report = riemannian_hessian(fam, point)
+        assert calls == {"values": 1, "jacobian": 1, "hessians": 0,
+                         "weighted_hessian": 1, "fim": 1}
+        assert np.array_equal(report.euclidean, euclidean_hessian(fam, point))
+        assert np.array_equal(report.metric, metric(point))
+        assert report.grad_norm == float(np.linalg.norm(grad_f_bar(fam, point)))
+
 class TestConnectionCorrection:
     def test_correction_is_exactly_the_block_difference(self):
         """Euclidean block minus correction equals the Riemannian block;
@@ -188,6 +232,12 @@ class TestClassification:
             euclidean_hessian(_FirstOrderOnly(), point)
         with pytest.raises(HessiansUnavailableError):
             riemannian_hessian(_FirstOrderOnly(), point)
+
+    @pytest.mark.parametrize("key", ["eps_critical", "eps_eig_scale"])
+    @pytest.mark.parametrize("value", ["abc", float("nan"), -1.0, 0.0, True])
+    def test_tolerances_are_validated(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            riemannian_hessian(symmetric_quadratic(), _equilibrium(), **{key: value})
 
 
 class TestCriticalValues:

@@ -76,6 +76,21 @@ class TestQuadraticFamily:
         with pytest.raises(InvalidDomainError):
             fam.values(np.array([np.nan]))
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than double here")
+    def test_values_match_an_extended_precision_reference(self):
+        """At (m, S) = (50, 8) the values lie within 2e-14 of long-double sums."""
+        rng = np.random.default_rng(33)
+        fam = random_quadratic(rng, m=50, S=8)
+        A, b, c = (v.astype(np.longdouble) for v in (fam.A, fam.b, fam.c))
+        worst = 0.0
+        for _ in range(200):
+            x = rng.normal(size=50)
+            xl = x.astype(np.longdouble)
+            ref = 0.5 * np.einsum("i,sij,j->s", xl, A, xl) + b @ xl + c
+            worst = max(worst, float(np.abs(fam.values(x) - ref).max()))
+        assert worst <= 2e-14
+
     def test_random_family_is_strictly_convex(self):
         rng = np.random.default_rng(0)
         fam = random_quadratic(rng, m=3, S=4, min_curvature=0.1)
@@ -135,6 +150,38 @@ class TestOuterSum:
         rng = np.random.default_rng(4)
         with pytest.raises(DimensionMismatchError):
             outer_sum(random_quadratic(rng, m=1), random_quadratic(rng, m=2))
+
+
+class TestWeightedHessian:
+    """weighted_hessian(x, r) is sum_s r_s H_s, or None without Hessians."""
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: random_quadratic(rng, m=3, S=4),
+        lambda rng: ConstantFamily(np.array([0.0, 0.4, 1.0]), m=2),
+        lambda rng: outer_sum(random_quadratic(rng, m=2, S=2), random_quadratic(rng, m=2, S=3)),
+    ], ids=["quadratic", "constant", "outer_sum"])
+    def test_contracts_the_hessian_stack(self, make):
+        rng = np.random.default_rng(30)
+        fam = make(rng)
+        for _ in range(5):
+            x = rng.normal(size=fam.m)
+            r = SimplexPoint(rng.normal(size=fam.S)).probs
+            expected = np.einsum("s,sij->ij", r, fam.hessians(x))
+            got = fam.weighted_hessian(x, r)
+            assert got.shape == (fam.m, fam.m)
+            assert np.array_equal(got, expected)
+
+    def test_none_without_hessians(self):
+        r = np.array([0.5, 0.5])
+        assert _NoHessians().weighted_hessian(np.zeros(1), r) is None
+        f1 = random_quadratic(np.random.default_rng(31), m=1, S=2)
+        mixed = outer_sum(f1, _NoHessians())
+        assert mixed.weighted_hessian(np.zeros(1), np.full(4, 0.25)) is None
+
+    def test_quadratic_does_not_copy_the_stack(self):
+        fam = random_quadratic(np.random.default_rng(32), m=3, S=4)
+        fam.hessians = None  # any call to the stack would now fail
+        assert fam.weighted_hessian(np.zeros(3), np.full(4, 0.25)).shape == (3, 3)
 
 
 class TestOuterProductWeights:

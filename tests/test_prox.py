@@ -202,6 +202,76 @@ class TestFixedPoints:
         assert displacement > 1e-4
 
 
+class _Counting(ObjectiveFamily):
+    """Delegates to a family, logging every call and the points evaluated."""
+
+    def __init__(self, inner, with_hessians=True):
+        self.inner = inner
+        self.m, self.S = inner.m, inner.S
+        self.with_hessians = with_hessians
+        self.calls = {"values": 0, "jacobian": 0, "hessians": 0, "weighted_hessian": 0}
+        self.value_points = []
+        self.jacobian_points = []
+
+    def values(self, x):
+        self.calls["values"] += 1
+        self.value_points.append(np.array(x, dtype=float))
+        return self.inner.values(x)
+
+    def jacobian(self, x):
+        self.calls["jacobian"] += 1
+        self.jacobian_points.append(np.array(x, dtype=float))
+        return self.inner.jacobian(x)
+
+    def hessians(self, x):
+        self.calls["hessians"] += 1
+        return self.inner.hessians(x) if self.with_hessians else None
+
+    def weighted_hessian(self, x, r):
+        self.calls["weighted_hessian"] += 1
+        if not self.with_hessians:
+            return super().weighted_hessian(x, r)
+        return self.inner.weighted_hessian(x, r)
+
+
+class TestSingleEvaluation:
+    def test_each_point_is_evaluated_once(self):
+        """No hessians stack, one weighted Hessian per Newton step, and one
+        values and one jacobian call per point the line search tried."""
+        rng = np.random.default_rng(15)
+        fam = _Counting(random_quadratic(rng, m=4, S=5))
+        res = prox(fam, rng.normal(size=4), SimplexPoint(rng.normal(size=5)), ProxConfig(lam=2.0))
+        assert res.inner_iterations >= 2
+        assert fam.calls["hessians"] == 0
+        assert fam.calls["weighted_hessian"] == res.inner_iterations
+        assert fam.calls["values"] == fam.calls["jacobian"]
+        points = [p.tobytes() for p in fam.value_points]
+        assert len(set(points)) == len(points)
+        assert points == [p.tobytes() for p in fam.jacobian_points]
+
+    def test_families_without_hessians_take_gradient_steps(self):
+        """The first None from weighted_hessian switches to the gradient
+        path, which then matches allow_newton=False bit for bit."""
+        rng = np.random.default_rng(16)
+        inner = random_quadratic(rng, m=2, S=3)
+        x, q = rng.normal(size=2), SimplexPoint(rng.normal(size=3))
+        cfg = ProxConfig(lam=0.5, inner_tol=1e-7)
+        fam = _Counting(inner, with_hessians=False)
+        res = prox(fam, x, q, cfg)
+        plain = prox(inner, x, q, ProxConfig(lam=0.5, inner_tol=1e-7, allow_newton=False))
+        assert res.inner_iterations == plain.inner_iterations > 1
+        assert np.array_equal(res.x, plain.x)
+        assert fam.calls["weighted_hessian"] == 1
+
+    def test_fixed_weights_newton_uses_the_weighted_hessian(self):
+        rng = np.random.default_rng(17)
+        fam = _Counting(random_quadratic(rng, m=3, S=4))
+        r = SimplexPoint(rng.normal(size=4))
+        minimize_fixed_weights(fam, rng.normal(size=3), r, ProxConfig(lam=0.5))
+        assert fam.calls["hessians"] == 0
+        assert fam.calls["weighted_hessian"] >= 1
+
+
 class TestFailureModes:
     def test_non_finite_losses_are_rejected(self):
         class _Overflowing(ObjectiveFamily):
