@@ -10,6 +10,8 @@ randomized property checks for every advertised identity, also reachable
 through the `baryopt` command-line tool.
 """
 
+from types import ModuleType as _ModuleType
+
 from .checks import KNOWN_FAILING, SCOPES, CheckResult, format_result, run_checks
 from .errors import (
     ConfigError,
@@ -101,83 +103,9 @@ from .simplex_geometry import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckResult",
-    "ConfigError",
-    "ConstantFamily",
-    "CriticalValueReport",
-    "DegenerateMetricError",
-    "DerivativeCheck",
-    "DimensionMismatchError",
-    "FlowConfig",
-    "FlowTrace",
-    "HessianReport",
-    "HessiansUnavailableError",
-    "HybridPoint",
-    "InvalidDomainError",
-    "KIND_MIN_MAX",
-    "KIND_MIN_MIN",
-    "KNOWN_FAILING",
-    "LandscapePoint",
-    "ObjectiveFamily",
-    "OuterSumFamily",
-    "PpaConfig",
-    "PpaRecord",
-    "PpaTrace",
-    "ProxConfig",
-    "ProxNonConvergenceError",
-    "ProxResult",
-    "QuadraticFamily",
-    "SCOPES",
-    "STATUS_CONVERGED",
-    "STATUS_INNER_FAILURE",
-    "STATUS_MAX_ITER",
-    "SimplexPoint",
-    "as_logits",
-    "barygradient",
-    "bfne_gap",
-    "christoffel",
-    "christoffel_correction",
-    "covariance",
-    "covariance_derivative_tensor",
-    "critical_value_scan",
-    "df_dt_analytic",
-    "entropy",
-    "entropy_rate_analytic",
-    "euclidean_hessian",
-    "f_bar",
-    "fejer_diagnostic",
-    "finite_diff_check",
-    "fisher_information",
-    "fix_equals_critical_check",
-    "fixed_point_residual",
-    "flow_vector_field",
-    "format_result",
-    "grad_f_bar",
-    "hybrid_bregman",
-    "integrate_flow",
-    "integrate_flow_full",
-    "kl",
-    "logits_from_point",
-    "metric",
-    "minimize_fixed_weights",
-    "monotone_operator",
-    "monotonicity_gap",
-    "negentropy",
-    "negentropy_grad_inverse",
-    "outer_product",
-    "outer_sum",
-    "point_from_logits",
-    "prox",
-    "pseudo_riemannian_residual",
-    "rank_one_factor_check",
-    "random_quadratic",
-    "resolvent_residual",
-    "riemannian_hessian",
-    "run_checks",
-    "run_ppa",
-    "saddle_objective",
-    "sigma_pinned",
-    "softargmax",
-    "symmetric_quadratic",
-]
+# Every public name imported above; the submodules, which the imports bind
+# as attributes too, are left out (`prox` is the function, not the module).
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

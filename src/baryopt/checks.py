@@ -13,6 +13,8 @@ measured violation is informative; `checks all` therefore exits nonzero on a
 correct build.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import ConfigError
@@ -93,23 +95,20 @@ SCOPES = (
 KNOWN_FAILING = ("christoffel_potential_correction", "log_partition_metric_hessian")
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class CheckResult:
     """Outcome of one property check."""
 
-    __slots__ = ("name", "passed", "worst", "tol", "detail")
+    name: str
+    passed: bool
+    worst: float
+    tol: float
+    detail: str = ""
 
-    def __init__(self, name, passed, worst, tol, detail=""):
-        self.name = name
-        self.passed = bool(passed)
-        self.worst = float(worst)
-        self.tol = float(tol)
-        self.detail = detail
-
-    def __repr__(self):
-        return (
-            f"CheckResult(name={self.name!r}, passed={self.passed}, "
-            f"worst={self.worst:.3e}, tol={self.tol:.3e})"
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.passed))
+        object.__setattr__(self, "worst", float(self.worst))
+        object.__setattr__(self, "tol", float(self.tol))
 
 
 def format_result(res: CheckResult) -> str:

@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -324,11 +325,7 @@ def _run_checks_method(params, seed, summary):
         passed=n_failed == 0,
         n_passed=n_passed,
         n_failed=n_failed,
-        results=[
-            {"name": r.name, "passed": r.passed, "worst": r.worst,
-             "tol": r.tol, "detail": r.detail}
-            for r in results
-        ],
+        results=[asdict(r) for r in results],
     )
     return None, EXIT_OK if n_failed == 0 else EXIT_FAILED
 
@@ -390,11 +387,7 @@ def _cmd_checks(args):
             "passed": n_failed == 0,
             "n_passed": n_passed,
             "n_failed": n_failed,
-            "results": [
-                {"name": r.name, "passed": r.passed, "worst": r.worst,
-                 "tol": r.tol, "detail": r.detail}
-                for r in results
-            ],
+            "results": [asdict(r) for r in results],
         }
         print(json.dumps(_json_safe(doc), sort_keys=True, indent=2))
     else:

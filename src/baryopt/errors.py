@@ -1,5 +1,6 @@
-"""Exceptions shared across the package, and the config-value validator."""
+"""Exceptions shared across the package, and the config-value validators."""
 
+import dataclasses
 import math
 import numbers
 
@@ -60,3 +61,15 @@ def positive_number(value, name, error, integer=False):
     if number <= 0:
         raise error(f"{name} must be positive, got {value!r}")
     return number
+
+
+def positive_fields(record, error):
+    """Validate, in declaration order, every `float` and `int` field of a dataclass.
+
+    Each becomes `positive_number(value, name, error)`, with `integer` for
+    `int` fields; frozen records are written through object.__setattr__.
+    """
+    for f in dataclasses.fields(record):
+        if f.type in (float, int):
+            value = positive_number(getattr(record, f.name), f.name, error, integer=f.type is int)
+            object.__setattr__(record, f.name, value)

@@ -36,9 +36,11 @@ row 0 is always kept).  min_min runs from generic starts are expected to
 diverge toward a vertex of the simplex.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, InvalidDomainError, positive_number
+from .errors import ConfigError, DimensionMismatchError, InvalidDomainError, positive_fields
 from .objectives import ObjectiveFamily
 from .simplex_geometry import (
     SimplexPoint,
@@ -69,16 +71,17 @@ def _sign(kind: str) -> float:
     return 1.0 if kind == KIND_MIN_MAX else -1.0
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class FlowConfig:
     """Fixed-step integration parameters; dt must divide t_end (to 1e-9 relative)."""
 
-    __slots__ = ("t_end", "dt", "record_every", "xi_cap")
+    t_end: float = 50.0
+    dt: float = 0.01
+    record_every: int = 1
+    xi_cap: float = 700.0
 
-    def __init__(self, t_end=50.0, dt=0.01, record_every=1, xi_cap=700.0):
-        self.t_end = positive_number(t_end, "t_end", ConfigError)
-        self.dt = positive_number(dt, "dt", ConfigError)
-        self.record_every = positive_number(record_every, "record_every", ConfigError, integer=True)
-        self.xi_cap = positive_number(xi_cap, "xi_cap", ConfigError)
+    def __post_init__(self):
+        positive_fields(self, ConfigError)
         steps = self.t_end / self.dt
         if not (steps < 2.0**53 and abs(round(steps) * self.dt - self.t_end) <= 1e-9 * self.t_end):
             raise ConfigError(f"t_end = {self.t_end!r} is not a whole number of steps dt = {self.dt!r}")
@@ -155,32 +158,25 @@ def entropy(q: SimplexPoint) -> float:
     return _entropy(q.log_weights)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class FlowTrace:
     """Recorded trajectory of one flow run.
 
     `divergence_reason` and `divergence_step` are None for a completed run.
     """
 
-    __slots__ = (
-        "kind", "status", "t", "x", "xi_bar", "q",
-        "objective", "objective_rate", "entropy", "entropy_rate",
-        "divergence_reason", "divergence_step",
-    )
-
-    def __init__(self, kind, status, t, x, xi_bar, q, objective, objective_rate,
-                 entropy, entropy_rate, divergence_reason, divergence_step):
-        self.kind = kind
-        self.status = status
-        self.t = t
-        self.x = x
-        self.xi_bar = xi_bar
-        self.q = q
-        self.objective = objective
-        self.objective_rate = objective_rate
-        self.entropy = entropy
-        self.entropy_rate = entropy_rate
-        self.divergence_reason = divergence_reason
-        self.divergence_step = divergence_step
+    kind: str
+    status: str
+    t: Array = field(repr=False)
+    x: Array = field(repr=False)
+    xi_bar: Array = field(repr=False)
+    q: Array = field(repr=False)
+    objective: Array = field(repr=False)
+    objective_rate: Array = field(repr=False)
+    entropy: Array = field(repr=False)
+    entropy_rate: Array = field(repr=False)
+    divergence_reason: str
+    divergence_step: int
 
     @property
     def final_x(self) -> Array:
@@ -189,12 +185,6 @@ class FlowTrace:
     @property
     def final_xi_bar(self) -> Array:
         return self.xi_bar[-1]
-
-    def __repr__(self):
-        return (
-            f"FlowTrace(kind={self.kind!r}, status={self.status!r}, "
-            f"n_records={self.t.size}, t_final={self.t[-1]:.4g})"
-        )
 
 
 def _rk4_step(fam, x, xi, dt, sign, pin):

@@ -26,6 +26,8 @@ complement B2 = H - I J_lbar B1^{-1} J_lbar^T I is negative semidefinite, so
 interior critical points are saddles or degenerate, never local minima.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .errors import (
@@ -171,24 +173,17 @@ def _riemannian_xi_block(sigma, vals):
     return 0.5 * (np.diag(v) - np.outer(v, sb) - np.outer(sb, v))
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class HessianReport:
     """Second-order audit of a chart point."""
 
-    def __init__(self, euclidean, riemannian, metric_matrix, grad_norm,
-                 inertia, schur_b2, classification):
-        self.euclidean = euclidean
-        self.riemannian = riemannian
-        self.metric = metric_matrix
-        self.grad_norm = grad_norm
-        self.inertia = inertia  # (positive, negative, zero) eigenvalue counts
-        self.schur_b2 = schur_b2
-        self.classification = classification
-
-    def __repr__(self):
-        return (
-            f"HessianReport(classification={self.classification!r}, "
-            f"inertia={self.inertia}, grad_norm={self.grad_norm:.3e})"
-        )
+    euclidean: Array = field(repr=False)
+    riemannian: Array = field(repr=False)
+    metric: Array = field(repr=False)
+    grad_norm: float
+    inertia: tuple  # (positive, negative, zero) eigenvalue counts
+    schur_b2: Array = field(repr=False)
+    classification: str
 
 
 def riemannian_hessian(
@@ -201,8 +196,10 @@ def riemannian_hessian(
 
     Only the xi_bar block differs from the Euclidean Hessian: the Christoffel
     correction sum_k Gamma^k_ij (I lbar)_k equals exactly half the Euclidean
-    block, leaving H.  The report includes the inertia of the Riemannian
-    Hessian, the Schur complement B2 of its x block B1 (raises
+    block, leaving H.  The correction is linear in the xi_bar gradient
+    I lbar, so it vanishes at critical points, where the two Hessians agree
+    (both xi_bar blocks are zero there).  The report includes the inertia of
+    the Riemannian Hessian, the Schur complement B2 of its x block B1 (raises
     DegenerateMetricError when B1 is singular), and the classification:
     "saddle" when the point is critical, B1 is positive definite, and B2 has
     a negative eigenvalue; "degenerate" when critical with B2 vanishing to
@@ -250,15 +247,7 @@ def riemannian_hessian(
     else:
         classification = CLASS_NOT_CRITICAL
 
-    return HessianReport(
-        euclidean=euclid,
-        riemannian=riem,
-        metric_matrix=_metric(m, fim),
-        grad_norm=grad_norm,
-        inertia=inertia,
-        schur_b2=b2,
-        classification=classification,
-    )
+    return HessianReport(euclid, riem, _metric(m, fim), grad_norm, inertia, b2, classification)
 
 
 def christoffel_correction(fam: ObjectiveFamily, point: LandscapePoint) -> Array:
@@ -272,23 +261,17 @@ def christoffel_correction(fam: ObjectiveFamily, point: LandscapePoint) -> Array
     return np.einsum("ijk,k->ij", christoffel(xb), grad_xi)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class CriticalValueReport:
     """Objective values over the critical subset of scanned points."""
 
-    def __init__(self, n_points, n_critical, values, spread, threshold, passed, note):
-        self.n_points = n_points
-        self.n_critical = n_critical
-        self.values = values
-        self.spread = spread
-        self.threshold = threshold
-        self.passed = passed
-        self.note = note
-
-    def __repr__(self):
-        return (
-            f"CriticalValueReport(n_critical={self.n_critical}/{self.n_points}, "
-            f"spread={self.spread:.3e}, passed={self.passed})"
-        )
+    n_points: int
+    n_critical: int
+    values: Array = field(repr=False)
+    spread: float
+    threshold: float
+    passed: bool
+    note: str
 
 
 def critical_value_scan(fam: ObjectiveFamily, points, tol: float = 1e-6) -> CriticalValueReport:

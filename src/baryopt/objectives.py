@@ -11,6 +11,8 @@ two families on the same R^m into the outer-sum family
 j * S2 + k), with the matching outer product of weights.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidDomainError
@@ -201,22 +203,19 @@ def rank_one_factor_check(q: SimplexPoint, s1: int, s2: int, tol: float = 1e-6):
     return True, (f1, f2)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class DerivativeCheck:
     """Finite-difference audit of one point: worst deviations and a flag."""
 
-    def __init__(self, x, jacobian_dev, hessian_dev, threshold):
-        self.x = x
-        self.jacobian_dev = jacobian_dev
-        self.hessian_dev = hessian_dev
-        self.threshold = threshold
-        devs = [jacobian_dev] + ([hessian_dev] if hessian_dev is not None else [])
-        self.flagged = max(devs) > threshold
+    x: Array = field(repr=False)
+    jacobian_dev: float
+    hessian_dev: float | None
+    threshold: float
+    flagged: bool = field(init=False)
 
-    def __repr__(self):
-        return (
-            f"DerivativeCheck(jacobian_dev={self.jacobian_dev:.3e}, "
-            f"hessian_dev={self.hessian_dev}, flagged={self.flagged})"
-        )
+    def __post_init__(self):
+        devs = [self.jacobian_dev] + ([self.hessian_dev] if self.hessian_dev is not None else [])
+        object.__setattr__(self, "flagged", max(devs) > self.threshold)
 
 
 def finite_diff_check(fam: ObjectiveFamily, points, step: float = 1e-5):

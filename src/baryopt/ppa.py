@@ -26,12 +26,13 @@ gave up; the trace up to the last good iterate is preserved).
 """
 
 import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .objectives import ObjectiveFamily
 from .prox import ProxConfig, _certificates, prox
-from .errors import ConfigError, ProxNonConvergenceError, positive_number
+from .errors import ConfigError, ProxNonConvergenceError, positive_fields
 from .simplex_geometry import HybridPoint, SimplexPoint, hybrid_bregman
 
 Array = np.ndarray
@@ -55,97 +56,64 @@ _LAM_GROWTH = 2.0
 _LAM_CAP = 500.0
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class PpaConfig:
     """Outer-loop settings wrapped around a ProxConfig.
 
     `prox_cfg.lam` is the initial outer step; `run_ppa` may enlarge it.
     """
 
-    def __init__(
-        self,
-        prox_cfg: ProxConfig = None,
-        stop_tol: float = 1e-12,
-        max_outer_iter: int = 5000,
-        fp_tol: float = 1e-5,
-        record_every: int = 1,
-    ):
-        self.prox_cfg = prox_cfg if prox_cfg is not None else ProxConfig()
-        self.stop_tol = positive_number(stop_tol, "stop_tol", ConfigError)
-        self.max_outer_iter = positive_number(
-            max_outer_iter, "max_outer_iter", ConfigError, integer=True
-        )
-        self.fp_tol = positive_number(fp_tol, "fp_tol", ConfigError)
-        self.record_every = positive_number(record_every, "record_every", ConfigError, integer=True)
+    prox_cfg: ProxConfig = None
+    stop_tol: float = 1e-12
+    max_outer_iter: int = 5000
+    fp_tol: float = 1e-5
+    record_every: int = 1
+
+    def __post_init__(self):
+        if self.prox_cfg is None:
+            object.__setattr__(self, "prox_cfg", ProxConfig())
+        positive_fields(self, ConfigError)
 
 
+@dataclass(slots=True, eq=False)
 class PpaRecord:
     """One recorded iterate: state, objective, and fixed-point certificates."""
 
-    __slots__ = (
-        "k",
-        "x",
-        "q",
-        "objective",
-        "barygrad_norm",
-        "loss_spread",
-        "prox_displacement",
-        "step_bregman",
-    )
-
-    def __init__(self, k, x, q, objective, barygrad_norm, loss_spread,
-                 prox_displacement, step_bregman):
-        self.k = k
-        self.x = x
-        self.q = q
-        self.objective = objective
-        self.barygrad_norm = barygrad_norm
-        self.loss_spread = loss_spread
-        self.prox_displacement = prox_displacement
-        self.step_bregman = step_bregman
+    k: int
+    x: Array = field(repr=False)
+    q: SimplexPoint = field(repr=False)
+    objective: float
+    barygrad_norm: float
+    loss_spread: float
+    prox_displacement: float
+    step_bregman: float
 
     @property
     def point(self) -> HybridPoint:
         return HybridPoint(self.x, self.q)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class PpaTrace:
     """Recorded iterates, the terminal status, the drift diagnostic and the
     outer step in effect at the end of the run."""
 
-    def __init__(self, records, status, iterations, no_fixed_point_suspected, final_lam):
-        self.records = records
-        self.status = status
-        self.iterations = iterations
-        self.no_fixed_point_suspected = no_fixed_point_suspected
-        self.final_lam = final_lam
+    records: list = field(repr=False)
+    status: str
+    iterations: int
+    no_fixed_point_suspected: bool
+    final_lam: float
 
     @property
     def final(self) -> HybridPoint:
         return self.records[-1].point
 
-    def __repr__(self):
-        return (
-            f"PpaTrace(status={self.status!r}, iterations={self.iterations}, "
-            f"records={len(self.records)}, "
-            f"no_fixed_point_suspected={self.no_fixed_point_suspected}, "
-            f"final_lam={self.final_lam})"
-        )
 
-
-def _record(fam, k, state, step):
-    """Record of `state` at iteration k; its displacement is filled in later."""
-    probs = state.q.probs
-    vals, barygrad_norm, spread = _certificates(fam, state.x, probs)
-    return PpaRecord(
-        k=k,
-        x=state.x,
-        q=state.q,
-        objective=float(probs @ vals),
-        barygrad_norm=barygrad_norm,
-        loss_spread=spread,
-        prox_displacement=math.nan,
-        step_bregman=step,
-    )
+def _record(k, point, step, vals, barygrad):
+    """Record of `point` at iteration k from l(x) and J^T q there; its
+    displacement is filled in later."""
+    return PpaRecord(k, point.x, point.q, float(point.q.probs @ vals),
+                     *_certificates(vals, barygrad), math.nan, step)
 
 
 def run_ppa(fam: ObjectiveFamily, x0, q0: SimplexPoint, cfg: PpaConfig = None) -> PpaTrace:
@@ -167,7 +135,8 @@ def run_ppa(fam: ObjectiveFamily, x0, q0: SimplexPoint, cfg: PpaConfig = None) -
     prox_cfg = cfg.prox_cfg
     lam_cap = max(prox_cfg.lam, _LAM_CAP)
     state = HybridPoint(x0, q0)
-    current = _record(fam, 0, state, math.nan)
+    current = _record(0, state, math.nan, fam.values(state.x),
+                      fam.jacobian(state.x).T @ state.q.probs)
     records = [current]
 
     status = STATUS_MAX_ITER
@@ -184,7 +153,7 @@ def run_ppa(fam: ObjectiveFamily, x0, q0: SimplexPoint, cfg: PpaConfig = None) -
         step = hybrid_bregman(new_state, state)
         current.prox_displacement = step
         state = new_state
-        current = _record(fam, k, state, step)
+        current = _record(k, state, step, result.values, result.barygrad)
         if k % cfg.record_every == 0:
             records.append(current)
         if (step <= cfg.stop_tol and current.barygrad_norm <= cfg.fp_tol
@@ -192,7 +161,7 @@ def run_ppa(fam: ObjectiveFamily, x0, q0: SimplexPoint, cfg: PpaConfig = None) -
             status = STATUS_CONVERGED
             break
         if k >= 2 and step > _STALL_RATIO * prev_step and prox_cfg.lam < lam_cap:
-            prox_cfg = _with_lam(prox_cfg, min(_LAM_GROWTH * prox_cfg.lam, lam_cap))
+            prox_cfg = replace(prox_cfg, lam=min(_LAM_GROWTH * prox_cfg.lam, lam_cap))
         prev_step = step
 
     if records[-1] is not current:
@@ -215,11 +184,6 @@ def run_ppa(fam: ObjectiveFamily, x0, q0: SimplexPoint, cfg: PpaConfig = None) -
         no_fixed_point = drifting and concentrated and stuck_spread
 
     return PpaTrace(records, status, iterations, no_fixed_point, prox_cfg.lam)
-
-
-def _with_lam(cfg: ProxConfig, lam: float) -> ProxConfig:
-    return ProxConfig(lam=lam, inner_tol=cfg.inner_tol,
-                      inner_max_iter=cfg.inner_max_iter, allow_newton=cfg.allow_newton)
 
 
 def fejer_diagnostic(trace: PpaTrace, anchor: HybridPoint) -> Array:

@@ -26,17 +26,25 @@ Residuals of both blocks are returned with the result; the q block is exact
 up to rounding because q' is computed in closed form from x'.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     DimensionMismatchError,
     InvalidDomainError,
     ProxNonConvergenceError,
-    positive_number,
+    positive_fields,
 )
 from .objectives import ObjectiveFamily
-from .simplex_geometry import HybridPoint, SimplexPoint, _log_softmax, hybrid_bregman, kl
+from .simplex_geometry import (
+    HybridPoint,
+    SimplexPoint,
+    _log_softmax,
+    _logsumexp,
+    hybrid_bregman,
+    kl,
+)
 
 Array = np.ndarray
 
@@ -49,38 +57,38 @@ _MAX_HALVINGS = 60
 _ROUNDOFF_SLACK = 1e-15
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ProxConfig:
     """Step size and inner-solver budget for the proximal map."""
 
-    def __init__(self, lam=0.5, inner_tol=1e-10, inner_max_iter=10000, allow_newton=True):
-        if not isinstance(allow_newton, (bool, np.bool_)):
-            raise InvalidDomainError(f"allow_newton must be true or false, got {allow_newton!r}")
-        self.lam = positive_number(lam, "lam", InvalidDomainError)
-        self.inner_tol = positive_number(inner_tol, "inner_tol", InvalidDomainError)
-        self.inner_max_iter = positive_number(
-            inner_max_iter, "inner_max_iter", InvalidDomainError, integer=True
-        )
-        self.allow_newton = bool(allow_newton)
+    lam: float = 0.5
+    inner_tol: float = 1e-10
+    inner_max_iter: int = 10000
+    allow_newton: bool = True
+
+    def __post_init__(self):
+        if not isinstance(self.allow_newton, (bool, np.bool_)):
+            raise InvalidDomainError(
+                f"allow_newton must be true or false, got {self.allow_newton!r}"
+            )
+        object.__setattr__(self, "allow_newton", bool(self.allow_newton))
+        positive_fields(self, InvalidDomainError)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ProxResult:
     """Proximal step output: the new pair plus solver certificates."""
 
-    def __init__(self, x, q, inner_iterations, residual):
-        self.x = x
-        self.q = q
-        self.inner_iterations = inner_iterations
-        self.residual = residual  # (x-block, q-block) stationarity residuals
+    x: Array = field(repr=False)
+    q: SimplexPoint = field(repr=False)
+    inner_iterations: int
+    residual: tuple  # (x-block, q-block) stationarity residuals
+    values: Array = field(repr=False)  # l(x'), from the last evaluation
+    barygrad: Array = field(repr=False)  # J_l(x')^T q'
 
     @property
     def point(self) -> HybridPoint:
         return HybridPoint(self.x, self.q)
-
-    def __repr__(self):
-        return (
-            f"ProxResult(x={self.x!r}, q={self.q!r}, "
-            f"inner_iterations={self.inner_iterations}, residual={self.residual})"
-        )
 
 
 def _descend(evaluate, hess, z0, tol, max_iter, gd_step):
@@ -173,7 +181,7 @@ def prox(fam: ObjectiveFamily, x, q: SimplexPoint, cfg: ProxConfig = None) -> Pr
         shifted = lq + lam * vals
         r = np.exp(_log_softmax(shifted))
         dz = z - x
-        value = float(logsumexp(shifted)) / lam + 0.5 * float(dz @ dz) / lam
+        value = _logsumexp(shifted) / lam + 0.5 * float(dz @ dz) / lam
         jac = fam.jacobian(z)
         mean_grad = jac.T @ r
         return value, mean_grad + dz / lam, (vals, jac, r, mean_grad)
@@ -197,10 +205,11 @@ def prox(fam: ObjectiveFamily, x, q: SimplexPoint, cfg: ProxConfig = None) -> Pr
 
     vals, jac, _, _ = ev
     q_out = SimplexPoint(lq + lam * vals)
-    r_x = float(np.linalg.norm(x - z - lam * (jac.T @ q_out.probs)))
+    barygrad = jac.T @ q_out.probs
+    r_x = float(np.linalg.norm(x - z - lam * barygrad))
     gauge = q_out.log_weights - lam * vals - lq
     r_q = 0.5 * float(gauge.max() - gauge.min())
-    return ProxResult(x=z, q=q_out, inner_iterations=steps, residual=(r_x, r_q))
+    return ProxResult(z, q_out, steps, (r_x, r_q), vals, barygrad)
 
 
 def saddle_objective(fam: ObjectiveFamily, x, q: SimplexPoint, z, r: SimplexPoint, lam: float) -> float:
@@ -285,8 +294,8 @@ def resolvent_residual(fam: ObjectiveFamily, p: HybridPoint, result: ProxResult,
     vals_out = fam.values(result.x)
     out_x = result.x + lam * (fam.jacobian(result.x).T @ result.q.probs)
     arg_out = (1.0 + result.q.log_weights) - lam * vals_out
-    out_q = arg_out - logsumexp(arg_out - 1.0)
-    in_q = (1.0 + p.q.log_weights) - logsumexp(p.q.log_weights)
+    out_q = arg_out - _logsumexp(arg_out - 1.0)
+    in_q = (1.0 + p.q.log_weights) - _logsumexp(p.q.log_weights)
     return float(
         max(np.abs(out_x - p.x).max(), np.abs(out_q - in_q).max())
     )
@@ -299,13 +308,11 @@ def fixed_point_residual(fam: ObjectiveFamily, p: HybridPoint, cfg: ProxConfig =
     weighted gradient J^T q, the spread max l - min l, and the hybrid
     Bregman divergence D_f(prox(x, q), (x, q)).
     """
-    _, barygrad_norm, spread = _certificates(fam, p.x, p.q.probs)
+    barygrad_norm, spread = _certificates(fam.values(p.x), fam.jacobian(p.x).T @ p.q.probs)
     displacement = hybrid_bregman(prox(fam, p.x, p.q, cfg).point, p)
     return barygrad_norm, spread, displacement
 
 
-def _certificates(fam: ObjectiveFamily, x, probs):
-    """Loss values, weighted-gradient norm ||J^T q|| and loss spread at (x, q)."""
-    vals = fam.values(x)
-    barygrad_norm = float(np.linalg.norm(fam.jacobian(x).T @ probs))
-    return vals, barygrad_norm, float(vals.max() - vals.min())
+def _certificates(vals: Array, barygrad: Array):
+    """Weighted-gradient norm ||J^T q|| and loss spread from l(x) and J^T q."""
+    return float(np.linalg.norm(barygrad)), float(vals.max() - vals.min())

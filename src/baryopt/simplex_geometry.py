@@ -15,10 +15,11 @@ Conventions:
     fisher_information  I(xi_bar) = Diag(sigma_bar) - sigma_bar sigma_bar^T
     christoffel         Levi-Civita symbols of I in the xi_bar chart
 
-All log-sum-exp work is max-shifted (`_log_softmax`, a numpy copy of
-scipy.special.log_softmax); linear-space probabilities appear only at API
-boundaries.  Instances and return values are immutable or freshly
-allocated, so everything here is safe to share across threads.
+All log-sum-exp work is max-shifted (`_log_softmax` and `_logsumexp`, numpy
+copies of scipy.special's log_softmax and logsumexp); linear-space
+probabilities appear only at API boundaries.  Instances and return values
+are immutable or freshly allocated, so everything here is safe to share
+across threads.
 """
 
 import math
@@ -45,6 +46,26 @@ def _log_softmax(xi: Array) -> Array:
         top[0] = 0.0
     shifted = xi - top
     return shifted - np.log(np.add.reduce(np.exp(shifted), keepdims=True))
+
+
+def _logsumexp(a: Array) -> float:
+    """scipy.special.logsumexp of a 1-d array, step for step and digit for digit.
+
+    The maximum entries are counted and kept out of the shifted sum.  Where
+    that result is not finite (an infinite or NaN maximum, or overflow) scipy
+    returns log(sum(exp(a))); an infinite or NaN maximum always ends there,
+    so it goes there first and the shifted sum never warns.
+    """
+    top = np.maximum.reduce(a, keepdims=True)
+    if math.isfinite(top[0]):
+        is_top = a == top
+        count = np.add.reduce(is_top, keepdims=True, dtype=float)
+        rest = np.add.reduce(np.exp(np.where(is_top, -np.inf, a) - top), keepdims=True)
+        out = float((np.log1p(rest / count) + np.log(count) + top)[0])
+        if math.isfinite(out):
+            return out
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return float(np.log(np.add.reduce(np.exp(a))))
 
 
 def _frozen(values) -> Array:

@@ -7,12 +7,16 @@ config, which the determinism test enforces literally.
 """
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 
+import baryopt
 from baryopt.cli import EXIT_FAILED, EXIT_NOT_CONVERGED, EXIT_OK, main
 
 
@@ -336,6 +340,27 @@ class TestConfigErrors:
         doc = _ppa_config()
         doc["output"] = {"format": "xml"}
         self._expect_failure(tmp_path, capsys, doc, "unknown output format")
+
+
+class TestPackage:
+    def test_runtime_imports_need_numpy_only(self):
+        """Neither the package nor the CLI loads scipy."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(baryopt.__file__)))
+        code = (
+            "import sys, baryopt, baryopt.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, check=True)
+        assert proc.stdout.strip() == "[]"
+
+    def test_all_lists_the_public_names_and_no_modules(self):
+        names = baryopt.__all__
+        assert names == sorted(set(names)) and len(names) == 78
+        assert not any(isinstance(getattr(baryopt, n), types.ModuleType) for n in names)
+        assert {"prox", "run_ppa", "ProxConfig", "CheckResult", "KNOWN_FAILING"} <= set(names)
+        assert callable(baryopt.prox)
 
 
 class TestInstalledScript:

@@ -5,6 +5,7 @@ equation; only the ascent version is attracted to the interior equilibrium
 of the symmetric pair, which the endpoint tests pin down numerically.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -167,6 +168,14 @@ class TestRecordingGrid:
         np.testing.assert_allclose(
             tr.t, [0.0, 0.08, 0.16, 0.24, 0.32, 0.40, 0.48, 0.50], atol=1e-12
         )
+
+    def test_trace_repr_is_one_line_and_eq_is_identity(self):
+        x, q = _start()
+        tr = integrate_flow(symmetric_quadratic(), x, q, KIND_MIN_MAX, FlowConfig())
+        again = integrate_flow(symmetric_quadratic(), x, q, KIND_MIN_MAX, FlowConfig())
+        assert tr.t.size == 5001
+        assert "\n" not in repr(tr) and "array" not in repr(tr)
+        assert (tr == again) is False and (tr == tr) is True
 
 
 class TestDivergence:
@@ -342,6 +351,13 @@ class TestPseudoRiemannianRewrite:
 
 
 class TestConfigValidation:
+    def test_configs_are_frozen_and_derived_configs_revalidated(self):
+        cfg = FlowConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.dt = 0.1
+        with pytest.raises(ConfigError, match="not a whole number of steps"):
+            dataclasses.replace(cfg, dt=0.3)
+
     def test_rejects_bad_settings(self):
         with pytest.raises(ConfigError):
             FlowConfig(t_end=0.0)

@@ -113,6 +113,7 @@ class TestEquilibriumSaddleReport:
         assert report.inertia == (1, 1, 0)
         assert report.classification == CLASS_SADDLE
         assert report.grad_norm <= 1e-15
+        assert "\n" not in repr(report) and "saddle" in repr(report)
 
     def test_euclidean_hessian_matches_finite_differences(self):
         fam = symmetric_quadratic()

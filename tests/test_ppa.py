@@ -1,11 +1,19 @@
 """Tests for the outer proximal point iteration."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from baryopt.objectives import ConstantFamily, QuadraticFamily, symmetric_quadratic
+from baryopt import ppa
+from baryopt.errors import ConfigError
+from baryopt.objectives import (
+    ConstantFamily,
+    ObjectiveFamily,
+    QuadraticFamily,
+    symmetric_quadratic,
+)
 from baryopt.ppa import (
     STATUS_CONVERGED,
     STATUS_INNER_FAILURE,
@@ -14,7 +22,7 @@ from baryopt.ppa import (
     fejer_diagnostic,
     run_ppa,
 )
-from baryopt.prox import ProxConfig
+from baryopt.prox import ProxConfig, prox
 from baryopt.simplex_geometry import HybridPoint, SimplexPoint, hybrid_bregman
 
 
@@ -113,6 +121,62 @@ class TestRecording:
         for prev, nxt in zip(tr.records[:-1], tr.records[1:]):
             assert prev.prox_displacement == nxt.step_bregman
 
+    def test_trace_repr_is_one_line_and_eq_is_identity(self):
+        args = (symmetric_quadratic(), np.array([0.3]), SimplexPoint.from_probs([0.3, 0.7]))
+        tr, again = run_ppa(*args), run_ppa(*args)
+        assert len(tr.records) > 10
+        assert "\n" not in repr(tr) and "records" not in repr(tr)
+        assert "\n" not in repr(tr.records[-1])
+        assert (tr == again) is False and (tr == tr) is True
+
+
+class _Counting(ObjectiveFamily):
+    """Delegates to a family and counts its values and jacobian calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.m, self.S = inner.m, inner.S
+        self.calls = {"values": 0, "jacobian": 0}
+
+    def values(self, x):
+        self.calls["values"] += 1
+        return self.inner.values(x)
+
+    def jacobian(self, x):
+        self.calls["jacobian"] += 1
+        return self.inner.jacobian(x)
+
+    def weighted_hessian(self, x, r):
+        return self.inner.weighted_hessian(x, r)
+
+
+class TestSingleEvaluation:
+    def test_new_iterates_are_recorded_from_the_prox_evaluation(self, monkeypatch):
+        """Outside its prox calls run_ppa evaluates the family once, at the
+        start; every record still equals a fresh evaluation bit for bit."""
+        fam, _, _, x0, q0 = _known_saddle(3, 3, 4)
+        counting = _Counting(fam)
+        in_prox = {"values": 0, "jacobian": 0}
+
+        def counted_prox(*args, **kwargs):
+            before = dict(counting.calls)
+            try:
+                return prox(*args, **kwargs)
+            finally:
+                for key in in_prox:
+                    in_prox[key] += counting.calls[key] - before[key]
+
+        monkeypatch.setattr(ppa, "prox", counted_prox)
+        tr = run_ppa(counting, x0, q0)
+        assert tr.status == STATUS_CONVERGED and tr.iterations >= 10
+        assert counting.calls["values"] - in_prox["values"] == 1
+        assert counting.calls["jacobian"] - in_prox["jacobian"] == 1
+        for rec in tr.records:
+            vals, probs = fam.values(rec.x), rec.q.probs
+            assert rec.objective == float(probs @ vals)
+            assert rec.barygrad_norm == float(np.linalg.norm(fam.jacobian(rec.x).T @ probs))
+            assert rec.loss_spread == float(vals.max() - vals.min())
+
 
 class TestFejerMonotonicity:
     def test_divergence_to_the_fixed_point_never_increases(self):
@@ -203,3 +267,11 @@ class TestConfigValidation:
             PpaConfig(max_outer_iter=0)
         with pytest.raises(ValueError):
             PpaConfig(record_every=0)
+
+    def test_configs_are_frozen_and_derived_configs_revalidated(self):
+        cfg = PpaConfig()
+        assert cfg.prox_cfg.lam == ProxConfig().lam
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.stop_tol = 1.0
+        with pytest.raises(ConfigError, match="record_every must be an integer"):
+            dataclasses.replace(cfg, record_every=2.5)

@@ -6,6 +6,8 @@ by bracketed root finding (`scipy.optimize.brentq`) without reusing any of
 the package's descent machinery.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -249,6 +251,14 @@ class TestSingleEvaluation:
         assert len(set(points)) == len(points)
         assert points == [p.tobytes() for p in fam.jacobian_points]
 
+    def test_result_carries_the_final_evaluation(self):
+        """l(x') and J^T q' come with the result, equal to evaluating again."""
+        rng = np.random.default_rng(18)
+        fam = random_quadratic(rng, m=3, S=4)
+        res = prox(fam, rng.normal(size=3), SimplexPoint(rng.normal(size=4)))
+        assert np.array_equal(res.values, fam.values(res.x))
+        assert np.array_equal(res.barygrad, fam.jacobian(res.x).T @ res.q.probs)
+
     def test_families_without_hessians_take_gradient_steps(self):
         """The first None from weighted_hessian switches to the gradient
         path, which then matches allow_newton=False bit for bit."""
@@ -309,3 +319,13 @@ class TestFailureModes:
             ProxConfig(inner_tol=-1e-10)
         with pytest.raises(InvalidDomainError):
             ProxConfig(inner_max_iter=0)
+
+    def test_configs_are_frozen_and_derived_configs_revalidated(self):
+        cfg = ProxConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.lam = 1.0
+        with pytest.raises(InvalidDomainError, match="lam must be positive"):
+            dataclasses.replace(cfg, lam=-1)
+        with pytest.raises(InvalidDomainError, match="allow_newton must be true or false"):
+            dataclasses.replace(cfg, allow_newton="yes")
+        assert dataclasses.replace(cfg, lam=2).lam == 2.0

@@ -9,13 +9,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import log_softmax
+from scipy.special import log_softmax, logsumexp
 
 from baryopt.errors import DimensionMismatchError, InvalidDomainError
 from baryopt.simplex_geometry import (
     HybridPoint,
     SimplexPoint,
     _log_softmax,
+    _logsumexp,
     christoffel,
     covariance,
     covariance_derivative_tensor,
@@ -103,6 +104,41 @@ class TestLogSoftmax:
             for xi in ([np.inf, 0.0], [-np.inf, 0.0], [np.nan, 1.0], [-np.inf, -np.inf]):
                 xi = np.array(xi)
                 assert np.array_equal(_log_softmax(xi), log_softmax(xi), equal_nan=True)
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestLogSumExp:
+    def test_matches_scipy_bit_for_bit(self):
+        """The package's one log-sum-exp repeats scipy's steps exactly."""
+        rng = np.random.default_rng(1)
+        for size in (2, 3, 5, 17, 64, 257):
+            for scale in (1e-3, 1.0, 30.0, 1e5):
+                for _ in range(20):
+                    a = rng.normal(size=size) * scale
+                    assert _same_bits(_logsumexp(a), logsumexp(a))
+
+    def test_tied_maxima_and_integers(self):
+        """Repeated maxima are counted, not summed through exp(0)."""
+        rng = np.random.default_rng(2)
+        for size in (2, 3, 8, 33, 257):
+            for scale in (1e-3, 1.0, 1e5):
+                for _ in range(20):
+                    a = rng.normal(size=size) * scale
+                    a[rng.integers(size, size=3)] = a.max()
+                    assert _same_bits(_logsumexp(a), logsumexp(a))
+                    rounded = np.round(a)
+                    assert _same_bits(_logsumexp(rounded), logsumexp(rounded))
+
+    def test_non_finite_entries(self):
+        """Same results as scipy, without the floating-point warnings."""
+        for a in ([np.inf, 1.0], [-np.inf, 1.0], [-np.inf, -np.inf], [np.nan, 1.0]):
+            a = np.array(a)
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                ours = _logsumexp(a)
+            assert _same_bits(ours, logsumexp(a))
 
 
 class TestEntropyAndKl:
