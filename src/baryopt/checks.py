@@ -11,8 +11,29 @@ that hold for the flat exponential-family connection but not for the metric
 (Levi-Civita) connection this package implements.  They are kept because the
 measured violation is informative; `checks all` therefore exits nonzero on a
 correct build.
+
+Adding a check: define `check_<name>(rng)` under `@_check(scope, tol, note)`,
+which registers it and turns its return value into a `CheckResult` named
+`<name>`.  The check returns `worst`, which passes when `worst <= tol`, or a
+tuple `(worst, ok[, fields[, tol]])`:
+
+- `ok` is a further condition the check must meet besides the bound;
+- `fields` fills the `{}` slots of the note, which then becomes a format
+  string (write a literal brace as `{{`);
+- a fourth item replaces the registered `tol`, for a tolerance computed at
+  run time (register such a check with `tol=None`).
+
+`at_least=True` turns the bound around (`worst >= tol`), for a gap that must
+stay above a negative slack.  Notes are string literals in the decorator,
+not docstrings, so `python -OO` keeps them.
+
+Each check draws from `default_rng([seed, index])`, where `index` is its
+place in definition order.  A check inserted before existing ones therefore
+changes the random streams, and so the reported digits, of every check after
+it; list such a change in CHANGES.md.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +60,7 @@ from .landscape import (
 )
 from .objectives import (
     ConstantFamily,
+    _central_diff,
     barygradient,
     finite_diff_check,
     outer_product,
@@ -81,15 +103,6 @@ from .simplex_geometry import (
 
 Array = np.ndarray
 
-SCOPES = (
-    "simplex_geometry",
-    "objectives",
-    "prox_core",
-    "ppa",
-    "landscape",
-    "flows",
-)
-
 #: Checks that measure identities of the flat connection, which the metric
 #: connection used here does not satisfy.  They fail on a correct build.
 KNOWN_FAILING = ("christoffel_potential_correction", "log_partition_metric_hessian")
@@ -119,6 +132,31 @@ def format_result(res: CheckResult) -> str:
     return line
 
 
+#: (scope, check) pairs in definition order; `_check` appends to it.
+_REGISTRY = []
+
+
+def _check(scope, tol, note, *, name=None, at_least=False):
+    """Register the decorated check under `scope` (see the module docstring)."""
+
+    def register(fn):
+        result_name = name or fn.__name__.removeprefix("check_")
+
+        @functools.wraps(fn)
+        def run(rng, **kwargs):
+            out = fn(rng, **kwargs)
+            out = out if isinstance(out, tuple) else (out,)
+            worst, ok, fields, bound = out + (True, None, tol)[len(out) - 1:]
+            within = worst >= bound if at_least else worst <= bound
+            detail = note.format(**fields) if fields else note
+            return CheckResult(result_name, ok and within, worst, bound, detail)
+
+        _REGISTRY.append((scope, run))
+        return run
+
+    return register
+
+
 def _random_simplex(rng, size, scale=1.5) -> SimplexPoint:
     return SimplexPoint(rng.uniform(-scale, scale, size=size))
 
@@ -138,13 +176,15 @@ def _prox_instances(rng):
 
 
 _LAMBDAS = (0.1, 0.5, 2.0)
+_INNER_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
 # simplex_geometry
 
 
-def check_softargmax_shift_invariance(rng) -> CheckResult:
+@_check("simplex_geometry", 1e-14, "softargmax(xi + c 1) = softargmax(xi)")
+def check_softargmax_shift_invariance(rng):
     worst = 0.0
     for _ in range(50):
         size = int(rng.integers(2, 7))
@@ -152,39 +192,36 @@ def check_softargmax_shift_invariance(rng) -> CheckResult:
         shift = float(rng.uniform(-100.0, 100.0))
         diff = np.abs(softargmax(xi + shift).probs - softargmax(xi).probs).max()
         worst = max(worst, float(diff))
-    return CheckResult(
-        "softargmax_shift_invariance", worst <= 1e-14, worst, 1e-14,
-        "softargmax(xi + c 1) = softargmax(xi)",
-    )
+    return worst
 
 
-def check_negentropy_gradient_roundtrip(rng) -> CheckResult:
+@_check("simplex_geometry", 1e-12, "(grad h)^{-1}(grad h(q)) recovers q")
+def check_negentropy_gradient_roundtrip(rng):
     worst = 0.0
     for _ in range(50):
         q = _random_simplex(rng, int(rng.integers(2, 7)), scale=3.0)
         _, grad = negentropy(q)
         diff = np.abs(negentropy_grad_inverse(grad) - q.probs).max()
         worst = max(worst, float(diff))
-    return CheckResult(
-        "negentropy_gradient_roundtrip", worst <= 1e-12, worst, 1e-12,
-        "(grad h)^{-1}(grad h(q)) recovers q",
-    )
+    return worst
 
 
-def check_kl_divergence_nonnegative(rng) -> CheckResult:
+@_check("simplex_geometry", 1e-12, "KL(r||q) >= 0 with equality at r = q")
+def check_kl_divergence_nonnegative(rng):
     worst = 0.0
     for _ in range(50):
         size = int(rng.integers(2, 7))
         r = _random_simplex(rng, size, scale=3.0)
         q = _random_simplex(rng, size, scale=3.0)
         worst = max(worst, -kl(r, q), abs(kl(q, q)))
-    return CheckResult(
-        "kl_divergence_nonnegative", worst <= 1e-12, worst, 1e-12,
-        "KL(r||q) >= 0 with equality at r = q",
-    )
+    return worst
 
 
-def check_hybrid_bregman_closed_form(rng) -> CheckResult:
+@_check(
+    "simplex_geometry", 1e-10,
+    "||dx||^2/2 + KL matches f(u) - f(v) - <grad f(v), u - v>",
+)
+def check_hybrid_bregman_closed_form(rng):
     worst = 0.0
     for _ in range(30):
         size = int(rng.integers(2, 6))
@@ -199,108 +236,92 @@ def check_hybrid_bregman_closed_form(rng) -> CheckResult:
             - float(grad_v @ (u.q.probs - v.q.probs))
         )
         worst = max(worst, abs(hybrid_bregman(u, v) - generic))
-    return CheckResult(
-        "hybrid_bregman_closed_form", worst <= 1e-10, worst, 1e-10,
-        "||dx||^2/2 + KL matches f(u) - f(v) - <grad f(v), u - v>",
-    )
+    return worst
 
 
-def check_fisher_information_jacobian(rng) -> CheckResult:
+@_check("simplex_geometry", 1e-6, "I(xi_bar) is SPD and equals d sigma_bar / d xi_bar")
+def check_fisher_information_jacobian(rng):
     worst = 0.0
     spd = True
-    h = 1e-6
     for _ in range(20):
         n = int(rng.integers(1, 6))
         xb = rng.uniform(-2.0, 2.0, size=n)
         fim, _ = fisher_information(xb)
         spd = spd and float(np.linalg.eigvalsh(fim).min()) > 0.0
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            fd = (sigma_pinned(xb + e)[:-1] - sigma_pinned(xb - e)[:-1]) / (2 * h)
-            worst = max(worst, float(np.abs(fd - fim[:, j]).max()))
-    return CheckResult(
-        "fisher_information_jacobian", spd and worst <= 1e-6, worst, 1e-6,
-        "I(xi_bar) is SPD and equals d sigma_bar / d xi_bar",
-    )
+        fd = _central_diff(lambda z: sigma_pinned(z)[:-1], xb, 1e-6)
+        worst = max(worst, float(np.abs(fd - fim).max()))
+    return worst, spd
 
 
-def check_fisher_inverse_closed_form(rng) -> CheckResult:
+@_check("simplex_geometry", 1e-10, "I(xi_bar) I(xi_bar)^{-1} = Id for S = 2..8")
+def check_fisher_inverse_closed_form(rng):
     worst = 0.0
     for size in range(2, 9):
         for _ in range(5):
             xb = rng.uniform(-4.0, 4.0, size=size - 1)
             fim, inv = fisher_information(xb)
             worst = max(worst, float(np.abs(fim @ inv - np.eye(size - 1)).max()))
-    return CheckResult(
-        "fisher_inverse_closed_form", worst <= 1e-10, worst, 1e-10,
-        "I(xi_bar) I(xi_bar)^{-1} = Id for S = 2..8",
-    )
+    return worst
 
 
-def check_christoffel_first_kind(rng) -> CheckResult:
+@_check("simplex_geometry", 1e-6, "sum_s I_ks Gamma^s_ij = (1/2) dI_ij/dxi_k")
+def check_christoffel_first_kind(rng):
     worst = 0.0
-    h = 1e-5
     for _ in range(15):
         n = int(rng.integers(1, 5))
         xb = rng.uniform(-2.0, 2.0, size=n)
         gamma = christoffel(xb)
         fim, _ = fisher_information(xb)
         lowered = np.einsum("ijs,sk->ijk", gamma, fim)
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = h
-            d_fim = (fisher_information(xb + e)[0] - fisher_information(xb - e)[0]) / (2 * h)
-            worst = max(worst, float(np.abs(lowered[:, :, k] - 0.5 * d_fim).max()))
-    return CheckResult(
-        "christoffel_first_kind", worst <= 1e-6, worst, 1e-6,
-        "sum_s I_ks Gamma^s_ij = (1/2) dI_ij/dxi_k",
-    )
+        d_fim = _central_diff(lambda z: fisher_information(z)[0], xb, 1e-5)
+        worst = max(worst, float(np.abs(lowered - 0.5 * d_fim).max()))
+    return worst
 
 
-def check_christoffel_potential_correction(rng) -> CheckResult:
+@_check(
+    "simplex_geometry", 1e-10,
+    "sum_k Gamma^k_ij sigma_bar_k = 0 holds only for the flat connection, "
+    "whose symbols vanish; for the metric connection the contraction is "
+    "(Diag(sigma_bar) - 2 sigma_bar sigma_bar^T)/2",
+)
+def check_christoffel_potential_correction(rng):
     worst = 0.0
     for _ in range(15):
         n = int(rng.integers(1, 5))
         xb = rng.uniform(-2.0, 2.0, size=n)
         contracted = np.einsum("ijk,k->ij", christoffel(xb), sigma_pinned(xb)[:-1])
         worst = max(worst, float(np.abs(contracted).max()))
-    return CheckResult(
-        "christoffel_potential_correction", worst <= 1e-10, worst, 1e-10,
-        "sum_k Gamma^k_ij sigma_bar_k = 0 holds only for the flat connection, "
-        "whose symbols vanish; for the metric connection the contraction is "
-        "(Diag(sigma_bar) - 2 sigma_bar sigma_bar^T)/2",
-    )
+    return worst
 
 
-def check_covariance_kernel_jacobian(rng) -> CheckResult:
+@_check(
+    "simplex_geometry", 1e-6,
+    "Cov(q) 1 = 0 (worst {kernel:.1e} <= 1e-12) and "
+    "Cov(q) is the softargmax Jacobian",
+)
+def check_covariance_kernel_jacobian(rng):
     worst_kernel = 0.0
     worst_fd = 0.0
-    h = 1e-6
     for _ in range(15):
         size = int(rng.integers(2, 6))
         q = _random_simplex(rng, size)
         cov = covariance(q)
         worst_kernel = max(worst_kernel, float(np.abs(cov @ np.ones(size)).max()))
-        xi = q.log_weights
-        for j in range(size):
-            e = np.zeros(size)
-            e[j] = h
-            fd = (softargmax(xi + e).probs - softargmax(xi - e).probs) / (2 * h)
-            worst_fd = max(worst_fd, float(np.abs(fd - cov[:, j]).max()))
-    passed = worst_kernel <= 1e-12 and worst_fd <= 1e-6
-    return CheckResult(
-        "covariance_kernel_jacobian", passed, worst_fd, 1e-6,
-        f"Cov(q) 1 = 0 (worst {worst_kernel:.1e} <= 1e-12) and "
-        "Cov(q) is the softargmax Jacobian",
-    )
+        fd = _central_diff(lambda z: softargmax(z).probs, q.log_weights, 1e-6)
+        worst_fd = max(worst_fd, float(np.abs(fd - cov).max()))
+    return worst_fd, worst_kernel <= 1e-12, {"kernel": worst_kernel}
 
 
 # ---------------------------------------------------------------------------
 # objectives
 
 
-def check_family_derivatives_fd(rng) -> CheckResult:
+@_check(
+    "objectives", 1.0,
+    "analytic Jacobians/Hessians match central differences "
+    "(worst as a fraction of the per-point threshold)",
+)
+def check_family_derivatives_fd(rng):
     worst = 0.0
     flagged = 0
     fams = [
@@ -313,14 +334,11 @@ def check_family_derivatives_fd(rng) -> CheckResult:
         for chk in finite_diff_check(fam, points):
             flagged += int(chk.flagged)
             worst = max(worst, max(chk.jacobian_dev, chk.hessian_dev) / chk.threshold)
-    return CheckResult(
-        "family_derivatives_fd", flagged == 0, worst, 1.0,
-        "analytic Jacobians/Hessians match central differences "
-        "(worst as a fraction of the per-point threshold)",
-    )
+    return worst, flagged == 0
 
 
-def check_barygradient_linearity(rng) -> CheckResult:
+@_check("objectives", 1e-12, "J^T q is affine in the weights")
+def check_barygradient_linearity(rng):
     worst = 0.0
     for _ in range(20):
         fam = random_quadratic(rng, m=int(rng.integers(1, 4)), S=int(rng.integers(2, 5)))
@@ -332,13 +350,11 @@ def check_barygradient_linearity(rng) -> CheckResult:
         lhs = barygradient(fam, x, mix)
         rhs = alpha * barygradient(fam, x, q1) + (1 - alpha) * barygradient(fam, x, q2)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return CheckResult(
-        "barygradient_linearity", worst <= 1e-12, worst, 1e-12,
-        "J^T q is affine in the weights",
-    )
+    return worst
 
 
-def check_outer_sum_consistency(rng) -> CheckResult:
+@_check("objectives", 1e-10, "tensorized values/Jacobian/weights match their factor composition")
+def check_outer_sum_consistency(rng):
     worst = 0.0
     for _ in range(10):
         f1 = random_quadratic(rng, m=2, S=int(rng.integers(2, 4)))
@@ -357,13 +373,11 @@ def check_outer_sum_consistency(rng) -> CheckResult:
         q2 = _random_simplex(rng, f2.S)
         kron = np.kron(q1.probs, q2.probs)
         worst = max(worst, float(np.abs(outer_product(q1, q2).probs - kron).max()))
-    return CheckResult(
-        "outer_sum_consistency", worst <= 1e-10, worst, 1e-10,
-        "tensorized values/Jacobian/weights match their factor composition",
-    )
+    return worst
 
 
-def check_rank_one_factor_detection(rng) -> CheckResult:
+@_check("objectives", 1e-6, "product weights are detected and factored; perturbed ones rejected")
+def check_rank_one_factor_detection(rng):
     worst = 0.0
     ok = True
     for _ in range(10):
@@ -385,22 +399,22 @@ def check_rank_one_factor_detection(rng) -> CheckResult:
         noisy = SimplexPoint(base.log_weights + rng.normal(scale=0.5, size=s1 * s2))
         detected, _ = rank_one_factor_check(noisy, s1, s2)
         ok = ok and not detected
-    return CheckResult(
-        "rank_one_factor_detection", ok and worst <= 1e-6, worst, 1e-6,
-        "product weights are detected and factored; perturbed ones rejected",
-    )
+    return worst, ok
 
 
 # ---------------------------------------------------------------------------
 # prox_core
 
 
-def check_prox_stationarity(rng) -> CheckResult:
+@_check(
+    "prox_core", _INNER_TOL,
+    "x = x' + lam J(x')^T q' and the q block hold to the inner tolerance",
+)
+def check_prox_stationarity(rng):
     worst = 0.0
-    inner_tol = 1e-10
     for fam in _prox_instances(rng)[:3]:
         for lam in _LAMBDAS:
-            cfg = ProxConfig(lam=lam, inner_tol=inner_tol)
+            cfg = ProxConfig(lam=lam, inner_tol=_INNER_TOL)
             for _ in range(3):
                 p = _random_hybrid(rng, fam)
                 res = prox(fam, p.x, p.q, cfg)
@@ -408,13 +422,11 @@ def check_prox_stationarity(rng) -> CheckResult:
                     p.x - res.x - lam * (fam.jacobian(res.x).T @ res.q.probs)
                 ))
                 worst = max(worst, r_x, res.residual[1])
-    return CheckResult(
-        "prox_stationarity", worst <= inner_tol, worst, inner_tol,
-        "x = x' + lam J(x')^T q' and the q block hold to the inner tolerance",
-    )
+    return worst
 
 
-def check_prox_weights_closed_form(rng) -> CheckResult:
+@_check("prox_core", 1e-10, "q' is proportional to q exp(lam l(x'))")
+def check_prox_weights_closed_form(rng):
     worst = 0.0
     for fam in _prox_instances(rng)[:3]:
         for lam in _LAMBDAS:
@@ -425,13 +437,15 @@ def check_prox_weights_closed_form(rng) -> CheckResult:
                 expected = SimplexPoint(p.q.log_weights + lam * fam.values(res.x))
                 worst = max(worst, float(np.abs(res.q.probs - expected.probs).max()))
                 worst = max(worst, abs(float(res.q.probs.sum()) - 1.0))
-    return CheckResult(
-        "prox_weights_closed_form", worst <= 1e-10, worst, 1e-10,
-        "q' is proportional to q exp(lam l(x'))",
-    )
+    return worst
 
 
-def check_bfne_inequality(rng, gap_fn=None) -> CheckResult:
+@_check(
+    "prox_core", -1e-7,
+    "firm-nonexpansiveness slack over {pairs} pairs stays above -1e-07",
+    name="prox_bfne_inequality", at_least=True,
+)
+def check_bfne_inequality(rng, gap_fn=None):
     gap_fn = gap_fn or bfne_gap
     worst_gap = np.inf
     pairs = 0
@@ -443,43 +457,40 @@ def check_bfne_inequality(rng, gap_fn=None) -> CheckResult:
                 v = _random_hybrid(rng, fam)
                 worst_gap = min(worst_gap, gap_fn(fam, u, v, cfg))
                 pairs += 1
-    passed = worst_gap >= -1e-7
-    return CheckResult(
-        "prox_bfne_inequality", passed, worst_gap, -1e-7,
-        f"firm-nonexpansiveness slack over {pairs} pairs stays above -1e-07",
-    )
+    return worst_gap, True, {"pairs": pairs}
 
 
-def check_operator_monotonicity(rng) -> CheckResult:
+@_check(
+    "prox_core", -1e-9, "<u - v, A(u) - A(v)> >= 0 for the saddle operator", at_least=True,
+)
+def check_operator_monotonicity(rng):
     worst_gap = np.inf
     for fam in _prox_instances(rng)[:3]:
         for _ in range(30):
             u = _random_hybrid(rng, fam)
             v = _random_hybrid(rng, fam)
             worst_gap = min(worst_gap, monotonicity_gap(fam, u, v))
-    return CheckResult(
-        "operator_monotonicity", worst_gap >= -1e-9, worst_gap, -1e-9,
-        "<u - v, A(u) - A(v)> >= 0 for the saddle operator",
-    )
+    return worst_gap
 
 
-def check_resolvent_identity(rng) -> CheckResult:
+@_check(
+    "prox_core", 10 * _INNER_TOL,
+    "grad f + lam A at the output matches grad f at the input (gauge-shifted)",
+)
+def check_resolvent_identity(rng):
     worst = 0.0
-    inner_tol = 1e-10
     for fam in _prox_instances(rng)[:3]:
         for lam in _LAMBDAS:
-            cfg = ProxConfig(lam=lam, inner_tol=inner_tol)
+            cfg = ProxConfig(lam=lam, inner_tol=_INNER_TOL)
             for _ in range(2):
                 p = _random_hybrid(rng, fam)
                 res = prox(fam, p.x, p.q, cfg)
                 worst = max(worst, resolvent_residual(fam, p, res, lam))
-    return CheckResult(
-        "resolvent_identity", worst <= 10 * inner_tol, worst, 10 * inner_tol,
-        "grad f + lam A at the output matches grad f at the input (gauge-shifted)",
-    )
+    return worst
 
 
-def check_prox_tensor_closure(rng) -> CheckResult:
+@_check("prox_core", 1e-6, "the prox of a tensorized family keeps product weights product")
+def check_prox_tensor_closure(rng):
     worst = 0.0
     ok = True
     cfg = ProxConfig(lam=0.5, inner_tol=1e-12)
@@ -494,13 +505,14 @@ def check_prox_tensor_closure(rng) -> CheckResult:
         svals = np.linalg.svd(matrix, compute_uv=False)
         worst = max(worst, float(svals[1] / svals[0]))
         ok = ok and rank_one_factor_check(res.q, f1.S, f2.S)[0]
-    return CheckResult(
-        "prox_tensor_closure", ok and worst <= 1e-6, worst, 1e-6,
-        "the prox of a tensorized family keeps product weights product",
-    )
+    return worst, ok
 
 
-def check_prox_minimax_order(rng) -> CheckResult:
+@_check(
+    "prox_core", 1e-6,
+    "min-then-max agrees with the saddle value; r' maximizes at fixed x'",
+)
+def check_prox_minimax_order(rng):
     worst = 0.0
     for fam in _prox_instances(rng)[:3]:
         for lam in (0.5, 2.0):
@@ -516,13 +528,14 @@ def check_prox_minimax_order(rng) -> CheckResult:
                 r = _random_simplex(rng, fam.S)
                 h_r = saddle_objective(fam, p.x, p.q, res.x, r, lam)
                 worst = max(worst, (h_r - h_saddle) / scale)
-    return CheckResult(
-        "prox_minimax_order", worst <= 1e-6, worst, 1e-6,
-        "min-then-max agrees with the saddle value; r' maximizes at fixed x'",
-    )
+    return worst
 
 
-def check_prox_constant_family_exact(rng) -> CheckResult:
+@_check(
+    "prox_core", 1e-12,
+    "for x-independent losses the prox fixes x and reweights in closed form",
+)
+def check_prox_constant_family_exact(rng):
     worst = 0.0
     for _ in range(10):
         size = int(rng.integers(2, 6))
@@ -539,10 +552,7 @@ def check_prox_constant_family_exact(rng) -> CheckResult:
             res.residual[0],
             res.residual[1],
         )
-    return CheckResult(
-        "prox_constant_family_exact", worst <= 1e-12, worst, 1e-12,
-        "for x-independent losses the prox fixes x and reweights in closed form",
-    )
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +568,11 @@ def _symmetric_ppa_cfg(stop_tol=1e-14, max_outer_iter=500, record_every=1):
     )
 
 
-def check_ppa_fejer_monotone(rng) -> CheckResult:
+@_check(
+    "ppa", 1e-10,
+    "D_f(anchor, new) <= D_f(anchor, old) - D_f(new, old) at a fixed anchor",
+)
+def check_ppa_fejer_monotone(rng):
     fam = symmetric_quadratic()
     anchor = HybridPoint(np.zeros(1), SimplexPoint.from_probs([0.5, 0.5]))
     worst = -np.inf
@@ -572,28 +586,30 @@ def check_ppa_fejer_monotone(rng) -> CheckResult:
         steps = np.array([r.step_bregman for r in trace.records])
         viol = dists[1:] - dists[:-1] + steps[1:]
         worst = max(worst, float(viol.max()))
-    return CheckResult(
-        "ppa_fejer_monotone", worst <= 1e-10, worst, 1e-10,
-        "D_f(anchor, new) <= D_f(anchor, old) - D_f(new, old) at a fixed anchor",
-    )
+    return worst
 
 
-def check_ppa_convergence_certificates(rng) -> CheckResult:
+@_check(
+    "ppa", 1e-5,
+    "status={status} after {iterations} iterations; "
+    "certificates vanish at the reported fixed point",
+)
+def check_ppa_convergence_certificates(rng):
     fam = symmetric_quadratic()
     trace = run_ppa(
         fam, np.array([0.3]), SimplexPoint.from_probs([0.3, 0.7]), _symmetric_ppa_cfg()
     )
     final = trace.records[-1]
     worst = max(final.barygrad_norm, final.loss_spread)
-    passed = trace.status == STATUS_CONVERGED and worst <= 1e-5
-    return CheckResult(
-        "ppa_convergence_certificates", passed, worst, 1e-5,
-        f"status={trace.status} after {trace.iterations} iterations; "
-        "certificates vanish at the reported fixed point",
-    )
+    fields = {"status": trace.status, "iterations": trace.iterations}
+    return worst, trace.status == STATUS_CONVERGED, fields
 
 
-def check_ppa_critical_values_agree(rng) -> CheckResult:
+@_check(
+    "ppa", None,
+    "{n_critical} critical endpoints from {starts} starts share one objective value",
+)
+def check_ppa_critical_values_agree(rng):
     fam = symmetric_quadratic()
     starts = [
         (np.array([0.3]), SimplexPoint.from_probs([0.3, 0.7])),
@@ -607,16 +623,20 @@ def check_ppa_critical_values_agree(rng) -> CheckResult:
         converged += int(trace.status == STATUS_CONVERGED)
         candidates.append(LandscapePoint.from_hybrid(trace.final))
     candidates.append(LandscapePoint(np.array([0.7]), np.array([0.3])))  # not critical
+    # The scan's threshold is relative, 1e-6 (1 + max |value|), so it is
+    # returned as this check's tolerance.
     report = critical_value_scan(fam, candidates, tol=1e-6)
-    passed = converged == len(starts) and report.n_critical == len(starts) and report.passed
-    return CheckResult(
-        "ppa_critical_values_agree", passed, report.spread, report.threshold,
-        f"{report.n_critical} critical endpoints from {len(starts)} starts share "
-        "one objective value",
-    )
+    ok = converged == len(starts) and report.n_critical == len(starts)
+    fields = {"n_critical": report.n_critical, "starts": len(starts)}
+    return report.spread, ok, fields, report.threshold
 
 
-def check_ppa_constant_drift_flag(rng) -> CheckResult:
+@_check(
+    "ppa", 1e-3,
+    "status={status}, suspected={suspected}; "
+    "weights concentrate on the largest loss without ever converging",
+)
+def check_ppa_constant_drift_flag(rng):
     fam = ConstantFamily(np.array([0.0, 0.4, 1.0]), m=1)
     cfg = PpaConfig(
         prox_cfg=ProxConfig(lam=0.5),
@@ -626,17 +646,9 @@ def check_ppa_constant_drift_flag(rng) -> CheckResult:
     )
     trace = run_ppa(fam, np.array([0.3]), SimplexPoint.uniform(3), cfg)
     final_max_prob = float(trace.records[-1].q.probs.max())
-    worst = 1.0 - final_max_prob
-    passed = (
-        trace.status == STATUS_MAX_ITER
-        and trace.no_fixed_point_suspected
-        and worst <= 1e-3
-    )
-    return CheckResult(
-        "ppa_constant_drift_flag", passed, worst, 1e-3,
-        f"status={trace.status}, suspected={trace.no_fixed_point_suspected}; "
-        "weights concentrate on the largest loss without ever converging",
-    )
+    ok = trace.status == STATUS_MAX_ITER and trace.no_fixed_point_suspected
+    fields = {"status": trace.status, "suspected": trace.no_fixed_point_suspected}
+    return 1.0 - final_max_prob, ok, fields
 
 
 # ---------------------------------------------------------------------------
@@ -650,58 +662,47 @@ def _random_landscape_point(rng, fam) -> LandscapePoint:
     )
 
 
-def check_landscape_gradient_fd(rng) -> CheckResult:
+def _at(fn, fam):
+    """`fn(fam, point)` as a function of the stacked coordinates (x, xi_bar)."""
+    return lambda z: fn(fam, LandscapePoint(z[: fam.m], z[fam.m:]))
+
+
+@_check("landscape", 1e-6, "(J^T sigma, I lbar) matches central differences of the objective")
+def check_landscape_gradient_fd(rng):
     worst = 0.0
-    h = 1e-6
     fams = [random_quadratic(rng, m=2, S=3), random_quadratic(rng, m=1, S=2)]
     for fam in fams:
         for _ in range(5):
             pt = _random_landscape_point(rng, fam)
             grad = grad_f_bar(fam, pt)
-            z = np.concatenate([pt.x, pt.xi_bar])
-            fd = np.empty_like(z)
-            for j in range(z.size):
-                e = np.zeros(z.size)
-                e[j] = h
-                up = LandscapePoint((z + e)[: fam.m], (z + e)[fam.m:])
-                dn = LandscapePoint((z - e)[: fam.m], (z - e)[fam.m:])
-                fd[j] = (f_bar(fam, up) - f_bar(fam, dn)) / (2 * h)
+            fd = _central_diff(_at(f_bar, fam), np.concatenate([pt.x, pt.xi_bar]), 1e-6)
             scale = 1.0 + float(np.abs(grad).max())
             worst = max(worst, float(np.abs(fd - grad).max()) / scale)
-    return CheckResult(
-        "landscape_gradient_fd", worst <= 1e-6, worst, 1e-6,
-        "(J^T sigma, I lbar) matches central differences of the objective",
-    )
+    return worst
 
 
-def check_landscape_hessian_fd(rng) -> CheckResult:
+@_check("landscape", 1e-5, "blockwise Hessian matches FD of the gradient; asymmetry {sym:.1e}")
+def check_landscape_hessian_fd(rng):
     worst = 0.0
     worst_sym = 0.0
-    h = 1e-5
     fams = [random_quadratic(rng, m=2, S=3), random_quadratic(rng, m=1, S=2)]
     for fam in fams:
         for _ in range(4):
             pt = _random_landscape_point(rng, fam)
             hess = euclidean_hessian(fam, pt)
             worst_sym = max(worst_sym, float(np.abs(hess - hess.T).max()))
-            z = np.concatenate([pt.x, pt.xi_bar])
-            fd = np.empty_like(hess)
-            for j in range(z.size):
-                e = np.zeros(z.size)
-                e[j] = h
-                up = LandscapePoint((z + e)[: fam.m], (z + e)[fam.m:])
-                dn = LandscapePoint((z - e)[: fam.m], (z - e)[fam.m:])
-                fd[:, j] = (grad_f_bar(fam, up) - grad_f_bar(fam, dn)) / (2 * h)
+            fd = _central_diff(_at(grad_f_bar, fam), np.concatenate([pt.x, pt.xi_bar]), 1e-5)
             scale = 1.0 + float(np.abs(hess).max())
             worst = max(worst, float(np.abs(fd - hess).max()) / scale)
-    passed = worst <= 1e-5 and worst_sym <= 1e-12
-    return CheckResult(
-        "landscape_hessian_fd", passed, worst, 1e-5,
-        f"blockwise Hessian matches FD of the gradient; asymmetry {worst_sym:.1e}",
-    )
+    return worst, worst_sym <= 1e-12, {"sym": worst_sym}
 
 
-def check_riemannian_correction_identity(rng) -> CheckResult:
+@_check(
+    "landscape", 1e-10,
+    "Euclidean block minus Christoffel correction equals the Riemannian "
+    "block, equivalently (T x_2 lbar) I = 2H",
+)
+def check_riemannian_correction_identity(rng):
     worst = 0.0
     for _ in range(8):
         fam = random_quadratic(rng, m=2, S=int(rng.integers(2, 5)))
@@ -720,14 +721,15 @@ def check_riemannian_correction_identity(rng) -> CheckResult:
         worst = max(
             worst, float(np.abs(tensor_block - 2.0 * report.riemannian[m:, m:]).max())
         )
-    return CheckResult(
-        "riemannian_correction_identity", worst <= 1e-10, worst, 1e-10,
-        "Euclidean block minus Christoffel correction equals the Riemannian "
-        "block, equivalently (T x_2 lbar) I = 2H",
-    )
+    return worst
 
 
-def check_log_partition_metric_hessian(rng) -> CheckResult:
+@_check(
+    "landscape", 1e-10,
+    "the log-partition Hessian equals the metric only under the flat "
+    "connection; the metric connection leaves a nonzero correction",
+)
+def check_log_partition_metric_hessian(rng):
     worst = 0.0
     for _ in range(15):
         n = int(rng.integers(1, 5))
@@ -736,14 +738,15 @@ def check_log_partition_metric_hessian(rng) -> CheckResult:
         correction = np.einsum("ijk,k->ij", christoffel(xb), sigma_pinned(xb)[:-1])
         riem = fim - correction
         worst = max(worst, float(np.abs(riem - fim).max()))
-    return CheckResult(
-        "log_partition_metric_hessian", worst <= 1e-10, worst, 1e-10,
-        "the log-partition Hessian equals the metric only under the flat "
-        "connection; the metric connection leaves a nonzero correction",
-    )
+    return worst
 
 
-def check_hessian_inertia_sylvester(rng) -> CheckResult:
+@_check(
+    "landscape", 0.0,
+    "inertia(B1) + inertia(B2) matched the full inertia at {total} points; "
+    "reference equilibrium classified {classification!r}",
+)
+def check_hessian_inertia_sylvester(rng):
     mismatches = 0
     total = 0
     for _ in range(8):
@@ -770,14 +773,11 @@ def check_hessian_inertia_sylvester(rng) -> CheckResult:
     fam = symmetric_quadratic()
     report = riemannian_hessian(fam, LandscapePoint(np.zeros(1), np.zeros(1)))
     saddle_ok = report.classification == "saddle" and report.inertia == (1, 1, 0)
-    return CheckResult(
-        "hessian_inertia_sylvester", mismatches == 0 and saddle_ok, float(mismatches), 0.0,
-        f"inertia(B1) + inertia(B2) matched the full inertia at {total} points; "
-        f"reference equilibrium classified {report.classification!r}",
-    )
+    return mismatches, saddle_ok, {"total": total, "classification": report.classification}
 
 
-def check_critical_points_share_x(rng) -> CheckResult:
+@_check("landscape", 1e-5, "with strictly convex losses every critical point has the same x")
+def check_critical_points_share_x(rng):
     fam = symmetric_quadratic()
     starts = [
         (np.array([0.3]), SimplexPoint.from_probs([0.3, 0.7])),
@@ -794,17 +794,18 @@ def check_critical_points_share_x(rng) -> CheckResult:
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
             worst = max(worst, float(np.abs(xs[i] - xs[j]).max()))
-    return CheckResult(
-        "critical_points_share_x", converged and worst <= 1e-5, worst, 1e-5,
-        "with strictly convex losses every critical point has the same x",
-    )
+    return worst, converged
 
 
 # ---------------------------------------------------------------------------
 # flows
 
 
-def check_min_min_objective_monotone(rng) -> CheckResult:
+@_check(
+    "flows", 1e-8,
+    "the descent flow never increases the objective (largest analytic rate {rate:.1e})",
+)
+def check_min_min_objective_monotone(rng):
     worst = -np.inf
     worst_rate = -np.inf
     runs = [
@@ -817,15 +818,15 @@ def check_min_min_objective_monotone(rng) -> CheckResult:
         trace = integrate_flow(fam, x0, q0, KIND_MIN_MIN, cfg)
         worst = max(worst, float(np.diff(trace.objective).max()))
         worst_rate = max(worst_rate, float(trace.objective_rate.max()))
-    passed = worst <= 1e-8 and worst_rate <= 1e-12
-    return CheckResult(
-        "min_min_objective_monotone", passed, max(worst, 0.0), 1e-8,
-        "the descent flow never increases the objective "
-        f"(largest analytic rate {worst_rate:.1e})",
-    )
+    return max(worst, 0.0), worst_rate <= 1e-12, {"rate": worst_rate}
 
 
-def check_flow_rates_match_trace(rng) -> CheckResult:
+@_check(
+    "flows", 1.0,
+    "analytic objective/entropy rates match finite differences of the "
+    "recorded trace (worst as a fraction of max(1e-5, 1e-3 |rate|))",
+)
+def check_flow_rates_match_trace(rng):
     worst_ratio = 0.0
     fam = symmetric_quadratic()
     cfg = FlowConfig(t_end=2.0, dt=0.002, record_every=1)
@@ -841,14 +842,15 @@ def check_flow_rates_match_trace(rng) -> CheckResult:
             analytic = rates[1:-1]
             allowance = np.maximum(1e-5, 1e-3 * np.abs(analytic))
             worst_ratio = max(worst_ratio, float((np.abs(fd - analytic) / allowance).max()))
-    return CheckResult(
-        "flow_rates_match_trace", worst_ratio <= 1.0, worst_ratio, 1.0,
-        "analytic objective/entropy rates match finite differences of the "
-        "recorded trace (worst as a fraction of max(1e-5, 1e-3 |rate|))",
-    )
+    return worst_ratio
 
 
-def check_objective_rate_variance_identity(rng) -> CheckResult:
+@_check(
+    "flows", 1e-10,
+    "Var_q(l) computed from moments, lbar^T I lbar, and the full "
+    "covariance agree; the two flow rates differ by exactly 2 Var",
+)
+def check_objective_rate_variance_identity(rng):
     worst = 0.0
     for _ in range(15):
         fam = random_quadratic(rng, m=2, S=int(rng.integers(2, 5)))
@@ -872,28 +874,22 @@ def check_objective_rate_variance_identity(rng) -> CheckResult:
             fam, x, xb, KIND_MIN_MIN
         )
         worst = max(worst, abs(rate_gap - 2.0 * var_moments) / scale)
-    return CheckResult(
-        "objective_rate_variance_identity", worst <= 1e-10, worst, 1e-10,
-        "Var_q(l) computed from moments, lbar^T I lbar, and the full "
-        "covariance agree; the two flow rates differ by exactly 2 Var",
-    )
+    return worst
 
 
-def check_flow_gauge_invariance(rng) -> CheckResult:
+@_check("flows", 1e-8, "probability trajectories agree across logit gauges")
+def check_flow_gauge_invariance(rng):
     fam = symmetric_quadratic()
     cfg = FlowConfig(t_end=10.0, dt=0.002, record_every=1)
     x0 = np.array([0.3])
     xi0 = np.array([0.2, -0.3])
     _, _, q_zero = integrate_flow_full(fam, x0, xi0, KIND_MIN_MIN, cfg, gauge="zero")
     _, _, q_pin = integrate_flow_full(fam, x0, xi0, KIND_MIN_MIN, cfg, gauge="pin_last")
-    worst = float(np.abs(q_zero - q_pin).max())
-    return CheckResult(
-        "flow_gauge_invariance", worst <= 1e-8, worst, 1e-8,
-        "probability trajectories agree across logit gauges",
-    )
+    return float(np.abs(q_zero - q_pin).max())
 
 
-def check_equilibria_match_fixed_points(rng) -> CheckResult:
+@_check("flows", 1e-8, "fixed points are equilibria and the attracting flow limit is fixed")
+def check_equilibria_match_fixed_points(rng):
     worst = 0.0
     # Known fixed points are flow equilibria.
     instances = [
@@ -916,14 +912,15 @@ def check_equilibria_match_fixed_points(rng) -> CheckResult:
     bg, spread, disp = fixed_point_residual(
         fam, limit, ProxConfig(lam=0.5, inner_tol=1e-12)
     )
-    worst = max(worst, bg, spread, disp)
-    return CheckResult(
-        "equilibria_match_fixed_points", worst <= 1e-8, worst, 1e-8,
-        "fixed points are equilibria and the attracting flow limit is fixed",
-    )
+    return max(worst, bg, spread, disp)
 
 
-def check_pseudo_riemannian_rewrite(rng) -> CheckResult:
+@_check(
+    "flows", 1e-6,
+    "the logit field solves Cov(q) b = (+/-) Cov(q) l "
+    "(interior worst {interior:.1e} <= 1e-08)",
+)
+def check_pseudo_riemannian_rewrite(rng):
     worst_interior = 0.0
     worst_vertex = 0.0
     for _ in range(10):
@@ -940,57 +937,15 @@ def check_pseudo_riemannian_rewrite(rng) -> CheckResult:
             worst_vertex = max(
                 worst_vertex, pseudo_riemannian_residual(fam, x, q_vtx, kind)
             )
-    passed = worst_interior <= 1e-8 and worst_vertex <= 1e-6
-    return CheckResult(
-        "pseudo_riemannian_rewrite", passed, max(worst_interior, worst_vertex), 1e-6,
-        "the logit field solves Cov(q) b = (+/-) Cov(q) l "
-        f"(interior worst {worst_interior:.1e} <= 1e-08)",
-    )
+    worst = max(worst_interior, worst_vertex)
+    return worst, worst_interior <= 1e-8, {"interior": worst_interior}
 
 
 # ---------------------------------------------------------------------------
 # registry
 
 
-_REGISTRY = (
-    ("simplex_geometry", check_softargmax_shift_invariance),
-    ("simplex_geometry", check_negentropy_gradient_roundtrip),
-    ("simplex_geometry", check_kl_divergence_nonnegative),
-    ("simplex_geometry", check_hybrid_bregman_closed_form),
-    ("simplex_geometry", check_fisher_information_jacobian),
-    ("simplex_geometry", check_fisher_inverse_closed_form),
-    ("simplex_geometry", check_christoffel_first_kind),
-    ("simplex_geometry", check_christoffel_potential_correction),
-    ("simplex_geometry", check_covariance_kernel_jacobian),
-    ("objectives", check_family_derivatives_fd),
-    ("objectives", check_barygradient_linearity),
-    ("objectives", check_outer_sum_consistency),
-    ("objectives", check_rank_one_factor_detection),
-    ("prox_core", check_prox_stationarity),
-    ("prox_core", check_prox_weights_closed_form),
-    ("prox_core", check_bfne_inequality),
-    ("prox_core", check_operator_monotonicity),
-    ("prox_core", check_resolvent_identity),
-    ("prox_core", check_prox_tensor_closure),
-    ("prox_core", check_prox_minimax_order),
-    ("prox_core", check_prox_constant_family_exact),
-    ("ppa", check_ppa_fejer_monotone),
-    ("ppa", check_ppa_convergence_certificates),
-    ("ppa", check_ppa_critical_values_agree),
-    ("ppa", check_ppa_constant_drift_flag),
-    ("landscape", check_landscape_gradient_fd),
-    ("landscape", check_landscape_hessian_fd),
-    ("landscape", check_riemannian_correction_identity),
-    ("landscape", check_log_partition_metric_hessian),
-    ("landscape", check_hessian_inertia_sylvester),
-    ("landscape", check_critical_points_share_x),
-    ("flows", check_min_min_objective_monotone),
-    ("flows", check_flow_rates_match_trace),
-    ("flows", check_objective_rate_variance_identity),
-    ("flows", check_flow_gauge_invariance),
-    ("flows", check_equilibria_match_fixed_points),
-    ("flows", check_pseudo_riemannian_rewrite),
-)
+SCOPES = tuple(dict.fromkeys(scope for scope, _ in _REGISTRY))
 
 
 def run_checks(scope: str = "all", seed: int = 0):

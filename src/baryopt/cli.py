@@ -3,12 +3,14 @@
 Two subcommands:
 
     baryopt run <config.json> [--seed N] [--out-dir DIR] [--format {csv,json}]
-    baryopt checks [scope]    [--seed N] [--out-dir DIR] [--format {csv,json}]
+    baryopt checks [scope]    [--seed N] [--format {csv,json}]
 
 `run` executes one experiment described by a JSON config (see the README for
 the schema) and writes `<base>.summary.json` plus, for iterative methods, a
 trace file `<base>.trace.csv` or `<base>.trace.json`.  `checks` runs the
-property-check registry for one module scope or all of them.
+property-check registry for one module scope or all of them and prints one
+`[PASS]`/`[FAIL]` line per check or, with `--format json`, the checks document
+that `run` also writes into its summary for the `checks` method.
 
 Outputs are byte-identical across repeated invocations with the same inputs:
 floats are serialized with their shortest round-trip representation, JSON
@@ -312,22 +314,28 @@ def _run_landscape(fam, x, q, params, summary):
     return None, EXIT_OK
 
 
-def _run_checks_method(params, seed, summary):
-    scope = params.get("scope", "all")
+def _checks_report(scope, seed):
+    """Run the checks of `scope`: their JSON document and their text lines."""
     results = run_checks(scope=scope, seed=seed)
-    for res in results:
-        print(format_result(res))
     n_passed = sum(r.passed for r in results)
     n_failed = len(results) - n_passed
-    print(f"{n_passed} passed, {n_failed} failed")
-    summary.update(
-        scope=scope,
-        passed=n_failed == 0,
-        n_passed=n_passed,
-        n_failed=n_failed,
-        results=[asdict(r) for r in results],
-    )
-    return None, EXIT_OK if n_failed == 0 else EXIT_FAILED
+    doc = {
+        "scope": scope,
+        "seed": seed,
+        "passed": n_failed == 0,
+        "n_passed": n_passed,
+        "n_failed": n_failed,
+        "results": [asdict(r) for r in results],
+    }
+    lines = [format_result(r) for r in results] + [f"{n_passed} passed, {n_failed} failed"]
+    return doc, "\n".join(lines)
+
+
+def _run_checks_method(params, seed, summary):
+    doc, text = _checks_report(params.get("scope", "all"), seed)
+    print(text)
+    summary.update(doc)
+    return None, EXIT_OK if doc["passed"] else EXIT_FAILED
 
 
 def _cmd_run(args):
@@ -377,24 +385,9 @@ def _cmd_run(args):
 
 
 def _cmd_checks(args):
-    results = run_checks(scope=args.scope, seed=args.seed)
-    n_passed = sum(r.passed for r in results)
-    n_failed = len(results) - n_passed
-    if args.format == "json":
-        doc = {
-            "scope": args.scope,
-            "seed": args.seed,
-            "passed": n_failed == 0,
-            "n_passed": n_passed,
-            "n_failed": n_failed,
-            "results": [asdict(r) for r in results],
-        }
-        print(json.dumps(_json_safe(doc), sort_keys=True, indent=2))
-    else:
-        for res in results:
-            print(format_result(res))
-        print(f"{n_passed} passed, {n_failed} failed")
-    return EXIT_OK if n_failed == 0 else EXIT_FAILED
+    doc, text = _checks_report(args.scope, args.seed)
+    print(json.dumps(_json_safe(doc), sort_keys=True, indent=2) if args.format == "json" else text)
+    return EXIT_OK if doc["passed"] else EXIT_FAILED
 
 
 def build_parser():
@@ -417,10 +410,13 @@ def build_parser():
     for p in (run_p, checks_p):
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized checks (default: 0)")
-        p.add_argument("--out-dir", default=".",
+    run_p.add_argument("--out-dir", default=".",
                        help="directory for output files (default: .)")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
+    run_p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="trace format; overrides the config (default: csv)")
+    checks_p.add_argument("--format", choices=("csv", "json"), default=None,
+                          help="json prints the checks document; csv (the "
+                          "default) prints one line per check")
     return parser
 
 

@@ -218,6 +218,16 @@ class DerivativeCheck:
         object.__setattr__(self, "flagged", max(devs) > self.threshold)
 
 
+def _central_diff(fn, z, step):
+    """Central differences of `fn` at `z`, one per coordinate, stacked on the last axis."""
+    cols = []
+    for j in range(z.size):
+        e = np.zeros(z.size)
+        e[j] = step
+        cols.append((fn(z + e) - fn(z - e)) / (2 * step))
+    return np.stack(cols, axis=-1)
+
+
 def finite_diff_check(fam: ObjectiveFamily, points, step: float = 1e-5):
     """Check jacobian (and hessians, when available) against central differences.
 
@@ -228,21 +238,11 @@ def finite_diff_check(fam: ObjectiveFamily, points, step: float = 1e-5):
     for x in points:
         x = fam.check_point(x)
         jac = fam.jacobian(x)
-        fd_jac = np.zeros_like(jac)
-        for i in range(fam.m):
-            e = np.zeros(fam.m)
-            e[i] = step
-            fd_jac[:, i] = (fam.values(x + e) - fam.values(x - e)) / (2 * step)
-        jac_dev = float(np.abs(jac - fd_jac).max())
+        jac_dev = float(np.abs(jac - _central_diff(fam.values, x, step)).max())
         hess_dev = None
         hess = fam.hessians(x)
         if hess is not None:
-            fd_hess = np.zeros_like(hess)
-            for i in range(fam.m):
-                e = np.zeros(fam.m)
-                e[i] = step
-                fd_hess[:, :, i] = (fam.jacobian(x + e) - fam.jacobian(x - e)) / (2 * step)
-            hess_dev = float(np.abs(hess - fd_hess).max())
+            hess_dev = float(np.abs(hess - _central_diff(fam.jacobian, x, step)).max())
         threshold = 1e-5 * (1.0 + float(np.linalg.norm(jac)))
         reports.append(DerivativeCheck(x, jac_dev, hess_dev, threshold))
     return reports

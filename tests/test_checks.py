@@ -76,3 +76,65 @@ class TestFormatting:
         bad = CheckResult("beta", False, 0.3, 1e-10)
         assert format_result(ok) == "[PASS] alpha: worst=1.000e-12 tol=1.000e-08 (fine)"
         assert format_result(bad) == "[FAIL] beta: worst=3.000e-01 tol=1.000e-10"
+
+
+class TestRegistryOrder:
+    #: Registry order fixes each check's `default_rng([seed, index])` stream,
+    #: so moving a check re-seeds every check after it.
+    ORDER = [
+        "softargmax_shift_invariance",
+        "negentropy_gradient_roundtrip",
+        "kl_divergence_nonnegative",
+        "hybrid_bregman_closed_form",
+        "fisher_information_jacobian",
+        "fisher_inverse_closed_form",
+        "christoffel_first_kind",
+        "christoffel_potential_correction",
+        "covariance_kernel_jacobian",
+        "family_derivatives_fd",
+        "barygradient_linearity",
+        "outer_sum_consistency",
+        "rank_one_factor_detection",
+        "prox_stationarity",
+        "prox_weights_closed_form",
+        "prox_bfne_inequality",
+        "operator_monotonicity",
+        "resolvent_identity",
+        "prox_tensor_closure",
+        "prox_minimax_order",
+        "prox_constant_family_exact",
+        "ppa_fejer_monotone",
+        "ppa_convergence_certificates",
+        "ppa_critical_values_agree",
+        "ppa_constant_drift_flag",
+        "landscape_gradient_fd",
+        "landscape_hessian_fd",
+        "riemannian_correction_identity",
+        "log_partition_metric_hessian",
+        "hessian_inertia_sylvester",
+        "critical_points_share_x",
+        "min_min_objective_monotone",
+        "flow_rates_match_trace",
+        "objective_rate_variance_identity",
+        "flow_gauge_invariance",
+        "equilibria_match_fixed_points",
+        "pseudo_riemannian_rewrite",
+    ]
+
+    def test_registry_order_is_pinned(self):
+        assert [r.name for r in run_checks("all", seed=0)] == self.ORDER
+
+    def test_scopes_follow_the_registry(self):
+        assert SCOPES == (
+            "simplex_geometry", "objectives", "prox_core", "ppa", "landscape", "flows",
+        )
+
+    def test_registered_checks_keep_their_names(self):
+        """Module-level checks keep their function names, which tracing keys on."""
+        import baryopt.checks as checks
+
+        names = [n for n in vars(checks) if n.startswith("check_")]
+        assert len(names) == len(self.ORDER)
+        for name in names:
+            fn = getattr(checks, name)
+            assert fn.__name__ == name and fn.__module__ == "baryopt.checks"

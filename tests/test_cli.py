@@ -227,6 +227,34 @@ class TestChecksCommand:
             main(["checks", "geometry"])
         assert info.value.code == 2
 
+    def test_out_dir_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["checks", "objectives", "--out-dir", "x"])
+        assert info.value.code == 2
+
+    def test_run_method_matches_the_checks_command(self, tmp_path, capsys):
+        doc = {
+            "problem": {"kind": "symmetric_quadratic"},
+            "method": "checks",
+            "params": {"scope": "objectives"},
+        }
+        cfg = _write_config(tmp_path, doc)
+        assert main(["run", cfg, "--seed", "3", "--out-dir", str(tmp_path)]) == EXIT_OK
+        run_lines = capsys.readouterr().out.splitlines()
+        summary = json.loads((tmp_path / "config.summary.json").read_text(encoding="utf-8"))
+
+        assert main(["checks", "objectives", "--seed", "3", "--format", "json"]) == EXIT_OK
+        expected = json.loads(capsys.readouterr().out)
+        assert summary.pop("method") == "checks"
+        assert summary.pop("problem") == "symmetric_quadratic"
+        assert summary == expected
+
+        assert main(["checks", "objectives", "--seed", "3"]) == EXIT_OK
+        text = capsys.readouterr().out
+        summary_path = os.path.join(str(tmp_path), "config.summary.json")
+        assert run_lines[-2:] == [f"wrote {summary_path}", "checks: ok"]
+        assert "\n".join(run_lines[:-2]) + "\n" == text
+
 
 class TestConfigErrors:
     def _expect_failure(self, tmp_path, capsys, doc, fragment):
