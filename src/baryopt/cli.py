@@ -26,7 +26,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from functools import partial
 
 import numpy as np
 
@@ -49,30 +50,11 @@ from .objectives import (
 )
 from .ppa import STATUS_CONVERGED, PpaConfig, run_ppa
 from .prox import ProxConfig, prox
-from .simplex_geometry import HybridPoint, SimplexPoint, logits_from_point
+from .simplex_geometry import SimplexPoint, logits_from_point
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_NOT_CONVERGED = 2
-
-_METHODS = ("prox_eval", "ppa", "flow_min_max", "flow_min_min", "landscape", "checks")
-
-_PROX_PARAMS = ("lam", "inner_tol", "inner_max_iter", "allow_newton")
-_PPA_ONLY_PARAMS = ("stop_tol", "max_outer_iter", "fp_tol", "record_every")
-_PPA_PARAMS = _PROX_PARAMS + _PPA_ONLY_PARAMS
-_FLOW_PARAMS = ("t_end", "dt", "record_every", "xi_cap")
-_LANDSCAPE_PARAMS = ("eps_critical", "eps_eig_scale")
-_CHECKS_PARAMS = ("scope",)
-
-_PARAM_WHITELIST = {
-    "prox_eval": _PROX_PARAMS,
-    "ppa": _PPA_PARAMS,
-    "flow_min_max": _FLOW_PARAMS,
-    "flow_min_min": _FLOW_PARAMS,
-    "landscape": _LANDSCAPE_PARAMS,
-    "checks": _CHECKS_PARAMS,
-}
-
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -93,6 +75,16 @@ def _check_keys(d, allowed, required, where):
             raise ConfigError(f"missing key {key!r} in {where}")
 
 
+def _array(node, key, where):
+    """`node[key]` as a float array; ConfigError when it is not one."""
+    try:
+        return np.asarray(node[key], dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(
+            f"{where}.{key} must be a number or a rectangular array of numbers"
+        ) from err
+
+
 def _build_problem(node, where="problem"):
     _require_dict(node, where)
     kind = node.get("kind")
@@ -102,13 +94,13 @@ def _build_problem(node, where="problem"):
     if kind == "quadratic":
         _check_keys(node, ("kind", "A", "b", "c"), ("kind", "A", "b", "c"), where)
         return QuadraticFamily(
-            np.asarray(node["A"], dtype=float),
-            np.asarray(node["b"], dtype=float),
-            np.asarray(node["c"], dtype=float),
+            _array(node, "A", where),
+            _array(node, "b", where),
+            _array(node, "c", where),
         )
     if kind == "constant":
         _check_keys(node, ("kind", "c", "m"), ("kind", "c"), where)
-        return ConstantFamily(np.asarray(node["c"], dtype=float), m=int(node.get("m", 1)))
+        return ConstantFamily(_array(node, "c", where), m=node.get("m", 1))
     if kind == "outer_sum":
         _check_keys(node, ("kind", "first", "second"), ("kind", "first", "second"), where)
         first = _build_problem(node["first"], where + ".first")
@@ -120,11 +112,14 @@ def _build_problem(node, where="problem"):
     )
 
 
-def _parse_init(node, fam):
-    _require_dict(node, "init")
+def _parse_init(doc, fam):
+    """The start (x, q) from the config's `init` node."""
+    if "init" not in doc:
+        raise ConfigError(f"missing key 'init' in config (method {doc['method']!r})")
+    node = _require_dict(doc["init"], "init")
     _check_keys(node, ("x", "q"), ("x", "q"), "init")
-    x = np.asarray(node["x"], dtype=float)
-    q = SimplexPoint.from_probs(np.asarray(node["q"], dtype=float))
+    x = _array(node, "x", "init")
+    q = SimplexPoint.from_probs(_array(node, "q", "init"))
     if q.size != fam.S:
         raise DimensionMismatchError(
             f"init.q has {q.size} entries, problem has {fam.S} states"
@@ -134,6 +129,11 @@ def _parse_init(node, fam):
 
 def _subset(params, keys):
     return {k: params[k] for k in keys if k in params}
+
+
+def _field_names(cls, skip=()):
+    """The field names of a config dataclass: the params a method accepts."""
+    return tuple(f.name for f in fields(cls) if f.name not in skip)
 
 
 def load_config(path):
@@ -152,12 +152,15 @@ def load_config(path):
     _check_keys(doc, ("problem", "method", "params", "init", "output"),
                 ("problem", "method"), "config")
     method = doc["method"]
-    if method not in _METHODS:
-        raise ConfigError(f"unknown method {method!r}; expected one of {_METHODS}")
+    if not isinstance(method, str) or method not in _METHODS:
+        raise ConfigError(f"unknown method {method!r}; expected one of {tuple(_METHODS)}")
     params = _require_dict(doc.get("params", {}), "params")
-    _check_keys(params, _PARAM_WHITELIST[method], (), f"params (method {method!r})")
+    _check_keys(params, _METHODS[method][0], (), f"params (method {method!r})")
     output = _require_dict(doc.get("output", {}), "output")
     _check_keys(output, ("path", "format"), (), "output")
+    # A missing, null or empty path means the config's file name stem.
+    if not isinstance(output.get("path") or "", str):
+        raise ConfigError(f"output.path must be a string, got {output['path']!r}")
     if "format" in output and output["format"] not in ("csv", "json"):
         raise ConfigError(
             f"unknown output format {output['format']!r}; expected 'csv' or 'json'"
@@ -221,8 +224,9 @@ def _vector_columns(prefix, n):
 # method runners
 
 
-def _run_prox_eval(fam, x, q, params, summary):
-    cfg = ProxConfig(**_subset(params, _PROX_PARAMS))
+def _run_prox_eval(fam, doc, params, summary):
+    x, q = _parse_init(doc, fam)
+    cfg = ProxConfig(**params)
     try:
         res = prox(fam, x, q, cfg)
     except ProxNonConvergenceError as err:
@@ -239,9 +243,10 @@ def _run_prox_eval(fam, x, q, params, summary):
     return None, EXIT_OK
 
 
-def _run_ppa(fam, x, q, params, summary):
-    prox_cfg = ProxConfig(**_subset(params, _PROX_PARAMS))
-    cfg = PpaConfig(prox_cfg=prox_cfg, **_subset(params, _PPA_ONLY_PARAMS))
+def _run_ppa(fam, doc, params, summary):
+    x, q = _parse_init(doc, fam)
+    prox_cfg = ProxConfig(**_subset(params, _field_names(ProxConfig)))
+    cfg = PpaConfig(prox_cfg=prox_cfg, **_subset(params, _field_names(PpaConfig, ("prox_cfg",))))
     trace = run_ppa(fam, x, q, cfg)
     final = trace.records[-1]
     summary.update(
@@ -271,8 +276,9 @@ def _run_ppa(fam, x, q, params, summary):
     return (columns, rows), code
 
 
-def _run_flow(fam, x, q, params, summary, kind):
-    cfg = FlowConfig(**_subset(params, _FLOW_PARAMS))
+def _run_flow(fam, doc, params, summary, kind):
+    x, q = _parse_init(doc, fam)
+    cfg = FlowConfig(**params)
     trace = integrate_flow(fam, x, q, kind, cfg)
     summary.update(
         status=trace.status,
@@ -300,9 +306,10 @@ def _run_flow(fam, x, q, params, summary, kind):
     return (columns, rows), code
 
 
-def _run_landscape(fam, x, q, params, summary):
+def _run_landscape(fam, doc, params, summary):
+    x, q = _parse_init(doc, fam)
     point = LandscapePoint(x, logits_from_point(q))
-    report = riemannian_hessian(fam, point, **_subset(params, _LANDSCAPE_PARAMS))
+    report = riemannian_hessian(fam, point, **params)
     summary.update(
         classification=report.classification,
         grad_norm=report.grad_norm,
@@ -331,11 +338,24 @@ def _checks_report(scope, seed):
     return doc, "\n".join(lines)
 
 
-def _run_checks_method(params, seed, summary):
-    doc, text = _checks_report(params.get("scope", "all"), seed)
+def _run_checks_method(fam, doc, params, summary):
+    report, text = _checks_report(params.get("scope", "all"), summary["seed"])
     print(text)
-    summary.update(doc)
-    return None, EXIT_OK if doc["passed"] else EXIT_FAILED
+    summary.update(report)
+    return None, EXIT_OK if report["passed"] else EXIT_FAILED
+
+
+# Each method's params (the fields of its config class; `ppa` takes ProxConfig's
+# and PpaConfig's but `prox_cfg`) and its runner, which reads its start from the
+# config's `init` and fills in the summary, where the seed is.
+_METHODS = {
+    "prox_eval": (_field_names(ProxConfig), _run_prox_eval),
+    "ppa": (_field_names(ProxConfig) + _field_names(PpaConfig, ("prox_cfg",)), _run_ppa),
+    "flow_min_max": (_field_names(FlowConfig), partial(_run_flow, kind=KIND_MIN_MAX)),
+    "flow_min_min": (_field_names(FlowConfig), partial(_run_flow, kind=KIND_MIN_MIN)),
+    "landscape": (("eps_critical", "eps_eig_scale"), _run_landscape),
+    "checks": (("scope",), _run_checks_method),
+}
 
 
 def _cmd_run(args):
@@ -347,22 +367,7 @@ def _cmd_run(args):
         "seed": args.seed,
     }
 
-    if method == "checks":
-        trace_data, code = _run_checks_method(params, args.seed, summary)
-    else:
-        if "init" not in doc:
-            raise ConfigError(f"missing key 'init' in config (method {method!r})")
-        x, q = _parse_init(doc["init"], fam)
-        if method == "prox_eval":
-            trace_data, code = _run_prox_eval(fam, x, q, params, summary)
-        elif method == "ppa":
-            trace_data, code = _run_ppa(fam, x, q, params, summary)
-        elif method == "flow_min_max":
-            trace_data, code = _run_flow(fam, x, q, params, summary, KIND_MIN_MAX)
-        elif method == "flow_min_min":
-            trace_data, code = _run_flow(fam, x, q, params, summary, KIND_MIN_MIN)
-        else:
-            trace_data, code = _run_landscape(fam, x, q, params, summary)
+    trace_data, code = _METHODS[method][1](fam, doc, params, summary)
 
     os.makedirs(args.out_dir, exist_ok=True)
     stem = output.get("path") or os.path.splitext(os.path.basename(args.config))[0]

@@ -45,7 +45,6 @@ from .objectives import ObjectiveFamily
 from .simplex_geometry import (
     SimplexPoint,
     _log_softmax,
-    as_logits,
     covariance,
     logits_from_point,
 )
@@ -126,12 +125,7 @@ def _pinned(fam: ObjectiveFamily, x: Array, xi_bar: Array, kind: str):
     """Validate a pinned-chart state; return (sign, (xi_bar, 0), k1 there)."""
     sign = _sign(kind)
     x = fam.check_point(x)
-    xi_bar = as_logits(xi_bar)
-    if xi_bar.size != fam.S - 1:
-        raise DimensionMismatchError(
-            f"xi_bar has {xi_bar.size} entries, expected {fam.S - 1}"
-        )
-    xi = np.append(xi_bar, 0.0)
+    xi = np.append(fam.check_logits(xi_bar), 0.0)
     return sign, xi, _field(fam, x, xi, sign, True)
 
 
@@ -271,12 +265,7 @@ def integrate_flow(
     valid state; see the module docstring for the divergence rules.
     """
     cfg = cfg or FlowConfig()
-    xi = logits_from_point(q0)
-    if xi.size != fam.S - 1:
-        raise DimensionMismatchError(
-            f"q0 has {q0.size} states, expected {fam.S}"
-        )
-    xi = np.append(xi, 0.0)
+    xi = np.append(logits_from_point(fam.check_weights(q0)), 0.0)
     x = _start(fam, x0, xi, cfg)
     t, x, xi, q, rec, reason, step = _integrate(fam, x, xi, _sign(kind), True, cfg)
     status = STATUS_COMPLETED if reason is None else STATUS_DIVERGED
@@ -324,7 +313,7 @@ def pseudo_riemannian_residual(fam: ObjectiveFamily, x: Array, q: SimplexPoint, 
     """
     sgn = _sign(kind)
     x = fam.check_point(x)
-    _, field_a, _, vals = _field(fam, x, q.log_weights, sgn, True)
+    _, field_a, _, vals = _field(fam, x, fam.check_weights(q).log_weights, sgn, True)
     cov = covariance(q)
 
     eigvals, eigvecs = np.linalg.eigh(cov)

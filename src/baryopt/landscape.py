@@ -33,9 +33,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DegenerateMetricError,
-    DimensionMismatchError,
     HessiansUnavailableError,
-    InvalidDomainError,
     positive_number,
 )
 from .objectives import ObjectiveFamily
@@ -43,6 +41,7 @@ from .prox import ProxConfig, prox
 from .simplex_geometry import (
     HybridPoint,
     SimplexPoint,
+    _vector,
     as_logits,
     christoffel,
     covariance_derivative_tensor,
@@ -69,10 +68,7 @@ class LandscapePoint:
     __slots__ = ("x", "xi_bar")
 
     def __init__(self, x, xi_bar):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.ndim != 1 or not np.all(np.isfinite(x)):
-            raise InvalidDomainError("x must be a finite 1-d vector")
-        self.x = x.copy()
+        self.x = _vector(np.atleast_1d(x), "x").copy()
         self.xi_bar = as_logits(xi_bar).copy()
 
     @classmethod
@@ -88,12 +84,7 @@ class LandscapePoint:
 
 
 def _check(fam: ObjectiveFamily, point: LandscapePoint):
-    x = fam.check_point(point.x)
-    if point.xi_bar.size != fam.S - 1:
-        raise DimensionMismatchError(
-            f"xi_bar has {point.xi_bar.size} entries, expected {fam.S - 1}"
-        )
-    return x, point.xi_bar
+    return fam.check_point(point.x), fam.check_logits(point.xi_bar)
 
 
 def f_bar(fam: ObjectiveFamily, point: LandscapePoint) -> float:
@@ -279,8 +270,10 @@ def critical_value_scan(fam: ObjectiveFamily, points, tol: float = 1e-6) -> Crit
 
     All critical points of the same family share one objective value; the
     report passes when max - min <= tol * (1 + max |value|) over the filtered
-    set (vacuously when the filtered set is empty).
+    set (vacuously when the filtered set is empty).  `tol` must be a positive
+    number (ConfigError otherwise).
     """
+    tol = positive_number(tol, "tol", ConfigError)
     values = []
     for point in points:
         grad_norm = float(np.linalg.norm(grad_f_bar(fam, point)))
@@ -319,8 +312,10 @@ def fix_equals_critical_check(
     """True iff the critical-point and prox-fixed-point tests agree at point.
 
     Compares ||grad f_bar|| <= tol with the hybrid Bregman displacement of
-    the proximal map D_f(prox(x, q), (x, q)) <= tol.
+    the proximal map D_f(prox(x, q), (x, q)) <= tol.  `tol` must be a positive
+    number (ConfigError otherwise).
     """
+    tol = positive_number(tol, "tol", ConfigError)
     x, _ = _check(fam, point)
     is_critical = float(np.linalg.norm(grad_f_bar(fam, point))) <= tol
     state = HybridPoint(x, point.q)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidDomainError
-from .simplex_geometry import SimplexPoint
+from .errors import DimensionMismatchError, InvalidDomainError, positive_number
+from .simplex_geometry import SimplexPoint, _vector, as_logits
 
 Array = np.ndarray
 
@@ -56,6 +56,21 @@ class ObjectiveFamily:
             raise InvalidDomainError("x must be finite")
         return x
 
+    def check_weights(self, q: SimplexPoint) -> SimplexPoint:
+        """Return q when it holds one weight per loss (DimensionMismatchError otherwise)."""
+        if q.size != self.S:
+            raise DimensionMismatchError(f"q has {q.size} entries, family has {self.S}")
+        return q
+
+    def check_logits(self, xi_bar) -> Array:
+        """Reduced logits of the pinned chart: `as_logits(xi_bar)` with S - 1 entries."""
+        xi_bar = as_logits(xi_bar)
+        if xi_bar.size != self.S - 1:
+            raise DimensionMismatchError(
+                f"xi_bar has {xi_bar.size} entries, expected {self.S - 1}"
+            )
+        return xi_bar
+
 
 class QuadraticFamily(ObjectiveFamily):
     """Losses l_s(x) = 0.5 x^T A_s x + b_s^T x + c_s with symmetric PSD A_s."""
@@ -73,6 +88,8 @@ class QuadraticFamily(ObjectiveFamily):
             raise DimensionMismatchError(
                 f"inconsistent shapes: A {A.shape}, b {b.shape}, c {c.shape}"
             )
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+            raise InvalidDomainError("A, b and c must be finite")
         scale = 1.0 + np.abs(A).max()
         if np.abs(A - A.transpose(0, 2, 1)).max() > 1e-12 * scale:
             raise InvalidDomainError("each A_s must be symmetric")
@@ -107,18 +124,10 @@ class ConstantFamily(ObjectiveFamily):
     """Losses that ignore x entirely: l_s(x) = c_s (zero gradients/Hessians)."""
 
     def __init__(self, c, m=1):
-        c = np.asarray(c, dtype=float)
-        if c.ndim != 1 or c.size < 2:
-            raise DimensionMismatchError(
-                f"expected at least 2 constants, got shape {c.shape}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise InvalidDomainError("constants must be finite")
-        if m < 1:
-            raise DimensionMismatchError("m must be at least 1")
+        c = _vector(c, "constants", min_size=2)
+        self.m = positive_number(m, "m", DimensionMismatchError, integer=True)
         self.c = c.copy()
         self.S = c.size
-        self.m = int(m)
 
     def values(self, x):
         self.check_point(x)
@@ -177,9 +186,7 @@ def outer_product(q1: SimplexPoint, q2: SimplexPoint) -> SimplexPoint:
 
 def barygradient(fam: ObjectiveFamily, x, q: SimplexPoint) -> Array:
     """Weighted gradient J_l(x)^T q = sum_s q_s grad l_s(x)."""
-    if q.size != fam.S:
-        raise DimensionMismatchError(f"q has {q.size} entries, family has {fam.S}")
-    return fam.jacobian(x).T @ q.probs
+    return fam.jacobian(x).T @ fam.check_weights(q).probs
 
 
 def rank_one_factor_check(q: SimplexPoint, s1: int, s2: int, tol: float = 1e-6):

@@ -134,7 +134,7 @@ def run_ppa(fam: ObjectiveFamily, x0, q0: SimplexPoint, cfg: PpaConfig = None) -
     x0 = fam.check_point(x0)
     prox_cfg = cfg.prox_cfg
     lam_cap = max(prox_cfg.lam, _LAM_CAP)
-    state = HybridPoint(x0, q0)
+    state = HybridPoint(x0, fam.check_weights(q0))
     current = _record(0, state, math.nan, fam.values(state.x),
                       fam.jacobian(state.x).T @ state.q.probs)
     records = [current]

@@ -30,13 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidDomainError,
-    ProxNonConvergenceError,
-    positive_fields,
-)
-from .objectives import ObjectiveFamily
+from .errors import InvalidDomainError, ProxNonConvergenceError, positive_fields
+from .objectives import ObjectiveFamily, barygradient
 from .simplex_geometry import (
     HybridPoint,
     SimplexPoint,
@@ -169,10 +164,8 @@ def prox(fam: ObjectiveFamily, x, q: SimplexPoint, cfg: ProxConfig = None) -> Pr
     if cfg is None:
         cfg = ProxConfig()
     x = fam.check_point(x)
-    if q.size != fam.S:
-        raise DimensionMismatchError(f"q has {q.size} entries, family has {fam.S}")
     lam = cfg.lam
-    lq = q.log_weights
+    lq = fam.check_weights(q).log_weights
 
     def evaluate(z):
         vals = fam.values(z)
@@ -216,6 +209,8 @@ def saddle_objective(fam: ObjectiveFamily, x, q: SimplexPoint, z, r: SimplexPoin
     """H_{x,q}(z, r) = r^T l(z) + ||z - x||^2 / (2 lam) - KL(r||q) / lam."""
     x = fam.check_point(x)
     z = fam.check_point(z)
+    fam.check_weights(q)
+    fam.check_weights(r)
     dz = z - x
     return float(r.probs @ fam.values(z)) + 0.5 * float(dz @ dz) / lam - kl(r, q) / lam
 
@@ -230,7 +225,7 @@ def minimize_fixed_weights(fam: ObjectiveFamily, x, r: SimplexPoint, cfg: ProxCo
         cfg = ProxConfig()
     x = fam.check_point(x)
     lam = cfg.lam
-    p = r.probs
+    p = fam.check_weights(r).probs
 
     def evaluate(z):
         dz = z - x
@@ -250,10 +245,8 @@ def minimize_fixed_weights(fam: ObjectiveFamily, x, r: SimplexPoint, cfg: ProxCo
 
 def monotone_operator(fam: ObjectiveFamily, p: HybridPoint):
     """The saddle operator A(x, q) = (J_l(x)^T q, -l(x)) of (x, q) -> q^T l(x)."""
-    if p.q.size != fam.S:
-        raise DimensionMismatchError(f"q has {p.q.size} entries, family has {fam.S}")
     x = fam.check_point(p.x)
-    return fam.jacobian(x).T @ p.q.probs, -fam.values(x)
+    return barygradient(fam, x, p.q), -fam.values(x)
 
 
 def monotonicity_gap(fam: ObjectiveFamily, u: HybridPoint, v: HybridPoint) -> float:
@@ -291,13 +284,15 @@ def resolvent_residual(fam: ObjectiveFamily, p: HybridPoint, result: ProxResult,
     gauge-shifted grad f(x, q).  For exact solves both blocks agree exactly;
     note LSE(grad h(q)) = 0 for any simplex point q.
     """
+    x = fam.check_point(p.x)
+    fam.check_weights(p.q)
     vals_out = fam.values(result.x)
     out_x = result.x + lam * (fam.jacobian(result.x).T @ result.q.probs)
     arg_out = (1.0 + result.q.log_weights) - lam * vals_out
     out_q = arg_out - _logsumexp(arg_out - 1.0)
     in_q = (1.0 + p.q.log_weights) - _logsumexp(p.q.log_weights)
     return float(
-        max(np.abs(out_x - p.x).max(), np.abs(out_q - in_q).max())
+        max(np.abs(out_x - x).max(), np.abs(out_q - in_q).max())
     )
 
 
@@ -308,7 +303,7 @@ def fixed_point_residual(fam: ObjectiveFamily, p: HybridPoint, cfg: ProxConfig =
     weighted gradient J^T q, the spread max l - min l, and the hybrid
     Bregman divergence D_f(prox(x, q), (x, q)).
     """
-    barygrad_norm, spread = _certificates(fam.values(p.x), fam.jacobian(p.x).T @ p.q.probs)
+    barygrad_norm, spread = _certificates(fam.values(p.x), barygradient(fam, p.x, p.q))
     displacement = hybrid_bregman(prox(fam, p.x, p.q, cfg).point, p)
     return barygrad_norm, spread, displacement
 

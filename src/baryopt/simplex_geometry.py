@@ -74,6 +74,22 @@ def _frozen(values) -> Array:
     return out
 
 
+def _vector(values, what, min_size=1) -> Array:
+    """`values` as a finite 1-d float array with at least `min_size` entries.
+
+    Raises DimensionMismatchError for any other shape and InvalidDomainError
+    for non-finite entries; `what` names the input in both messages.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1 or v.size < min_size:
+        raise DimensionMismatchError(
+            f"{what} must be a 1-d vector of length >= {min_size}, got shape {v.shape}"
+        )
+    if not np.all(np.isfinite(v)):
+        raise InvalidDomainError(f"{what} must be finite")
+    return v
+
+
 class SimplexPoint:
     """Interior simplex point stored as normalized log-probabilities.
 
@@ -85,27 +101,15 @@ class SimplexPoint:
     __slots__ = ("log_weights",)
 
     def __init__(self, log_weights):
-        lw = np.asarray(log_weights, dtype=float)
-        if lw.ndim != 1 or lw.size < 2:
-            raise DimensionMismatchError(
-                f"expected a 1-d logit vector with at least 2 entries, got shape {lw.shape}"
-            )
-        if not np.all(np.isfinite(lw)):
-            raise InvalidDomainError("logit entries must be finite")
+        lw = _vector(log_weights, "logits", min_size=2)
         self.log_weights = _frozen(_log_softmax(lw))
 
     @classmethod
     def from_probs(cls, probs) -> "SimplexPoint":
         """Build from linear-space weights; boundary points are rejected."""
-        p = np.asarray(probs, dtype=float)
-        if p.ndim != 1 or p.size < 2:
-            raise DimensionMismatchError(
-                f"expected a 1-d probability vector with at least 2 entries, got shape {p.shape}"
-            )
-        if not np.all(np.isfinite(p)) or np.any(p <= PROB_FLOOR):
-            raise InvalidDomainError(
-                "probabilities must be finite and strictly positive"
-            )
+        p = _vector(probs, "probabilities", min_size=2)
+        if np.any(p <= PROB_FLOOR):
+            raise InvalidDomainError("probabilities must be strictly positive")
         return cls(np.log(p))
 
     @classmethod
@@ -166,11 +170,7 @@ class HybridPoint:
     __slots__ = ("x", "q")
 
     def __init__(self, x, q: SimplexPoint):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise DimensionMismatchError(f"x must be a 1-d vector, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise InvalidDomainError("x must be finite")
+        x = _vector(x, "x")
         if not isinstance(q, SimplexPoint):
             raise InvalidDomainError("q must be a SimplexPoint")
         self.x = _frozen(x)
@@ -197,14 +197,7 @@ def hybrid_bregman(u: HybridPoint, v: HybridPoint) -> float:
 
 def as_logits(xi_bar) -> Array:
     """Validate a reduced logit vector (finite, 1-d, at least one entry)."""
-    xb = np.atleast_1d(np.asarray(xi_bar, dtype=float))
-    if xb.ndim != 1 or xb.size < 1:
-        raise DimensionMismatchError(
-            f"expected a 1-d reduced logit vector, got shape {xb.shape}"
-        )
-    if not np.all(np.isfinite(xb)):
-        raise InvalidDomainError("reduced logits must be finite")
-    return xb
+    return _vector(np.atleast_1d(xi_bar), "reduced logits")
 
 
 def sigma_pinned(xi_bar) -> Array:

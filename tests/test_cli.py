@@ -369,6 +369,65 @@ class TestConfigErrors:
         doc["output"] = {"format": "xml"}
         self._expect_failure(tmp_path, capsys, doc, "unknown output format")
 
+    @pytest.mark.parametrize("change, fragment", [
+        ({"problem": {"kind": "quadratic", "A": "x", "b": [[0.0], [0.0]], "c": [0.0, 0.0]}},
+         "problem.A must be a number or a rectangular array"),
+        ({"problem": {"kind": "quadratic", "A": [[[1.0]], [[1.0, 2.0]]], "b": [[0.0], [0.0]],
+                      "c": [0.0, 0.0]}},
+         "problem.A must be a number or a rectangular array"),
+        ({"init": {"x": "a", "q": [0.3, 0.7]}}, "init.x must be a number"),
+        ({"problem": {"kind": "constant", "c": [0.0, 1.0], "m": "two"}}, "m must be a number"),
+        ({"problem": {"kind": "constant", "c": [0.0, 1.0], "m": 1.7}},
+         "m must be an integer >= 1"),
+        ({"problem": {"kind": "constant", "c": [0.0, 1.0], "m": True}}, "m must be a number"),
+        ({"output": {"path": 3}}, "output.path must be a string"),
+        ({"method": ["ppa"]}, "unknown method ['ppa']"),
+    ])
+    def test_malformed_config_is_one_error_line(self, tmp_path, capsys, change, fragment):
+        doc = _ppa_config()
+        doc.update(change)
+        cfg = _write_config(tmp_path, doc)
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == EXIT_FAILED
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("error: ") and fragment in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
+class TestParamSchema:
+    """Each method accepts every field of its config class: a config setting
+    every documented param to its default writes the same files as one that
+    sets none."""
+
+    PROX_DEFAULTS = {"lam": 0.5, "inner_tol": 1e-10, "inner_max_iter": 10000,
+                     "allow_newton": True}
+    PPA_DEFAULTS = {**PROX_DEFAULTS, "stop_tol": 1e-12, "max_outer_iter": 5000,
+                    "fp_tol": 1e-5, "record_every": 1}
+    FLOW_DEFAULTS = {"t_end": 50.0, "dt": 0.01, "record_every": 1, "xi_cap": 700.0}
+    LANDSCAPE_DEFAULTS = {"eps_critical": 1e-8, "eps_eig_scale": 1e-8}
+
+    @pytest.mark.parametrize("method, defaults", [
+        ("prox_eval", PROX_DEFAULTS),
+        ("ppa", PPA_DEFAULTS),
+        ("flow_min_max", FLOW_DEFAULTS),
+        ("landscape", LANDSCAPE_DEFAULTS),
+    ])
+    def test_default_params_change_nothing(self, tmp_path, capsys, method, defaults):
+        doc = {
+            "problem": {"kind": "symmetric_quadratic"},
+            "method": method,
+            "init": {"x": [0.3], "q": [0.3, 0.7]},
+            "output": {"path": "run"},
+        }
+        for name, params in (("bare", {}), ("full", defaults)):
+            cfg = _write_config(tmp_path, dict(doc, params=params), name=f"{name}.json")
+            assert main(["run", cfg, "--out-dir", str(tmp_path / name)]) == EXIT_OK
+        files = sorted(os.listdir(tmp_path / "bare"))
+        assert files and files == sorted(os.listdir(tmp_path / "full"))
+        for name in files:
+            assert (tmp_path / "bare" / name).read_bytes() == (
+                tmp_path / "full" / name).read_bytes()
+
 
 class TestPackage:
     def test_runtime_imports_need_numpy_only(self):

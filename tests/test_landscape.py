@@ -13,6 +13,7 @@ from baryopt.errors import (
     DegenerateMetricError,
     DimensionMismatchError,
     HessiansUnavailableError,
+    InvalidDomainError,
 )
 from baryopt.landscape import (
     CLASS_DEGENERATE,
@@ -74,6 +75,13 @@ class TestChartPoint:
     def test_shape_guard(self):
         with pytest.raises(DimensionMismatchError):
             f_bar(symmetric_quadratic(), LandscapePoint(np.zeros(1), np.zeros(2)))
+
+    def test_x_must_be_a_finite_vector(self):
+        with pytest.raises(DimensionMismatchError, match="x must be a 1-d vector"):
+            LandscapePoint(np.zeros((2, 1)), np.zeros(1))
+        with pytest.raises(InvalidDomainError, match="x must be finite"):
+            LandscapePoint(np.array([np.nan]), np.zeros(1))
+        np.testing.assert_array_equal(LandscapePoint(0.5, 0.0).x, [0.5])
 
 
 class TestGradient:
@@ -273,3 +281,14 @@ class TestFixedPointCriticalEquivalence:
         assert fix_equals_critical_check(fam, _equilibrium())
         far = LandscapePoint(np.array([1.7]), np.array([0.8]))
         assert fix_equals_critical_check(fam, far)
+
+
+@pytest.mark.parametrize("value", [float("nan"), "abc", -1.0, 0.0, True])
+def test_critical_tolerances_are_validated(value):
+    """A NaN tol used to pass every comparison's negation: the scan reported
+    passed=True and the equivalence check True."""
+    fam = symmetric_quadratic()
+    with pytest.raises(ConfigError, match="tol must be"):
+        critical_value_scan(fam, [_equilibrium()], tol=value)
+    with pytest.raises(ConfigError, match="tol must be"):
+        fix_equals_critical_check(fam, _equilibrium(), tol=value)

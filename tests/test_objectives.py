@@ -16,7 +16,16 @@ from baryopt.objectives import (
     random_quadratic,
     symmetric_quadratic,
 )
-from baryopt.simplex_geometry import SimplexPoint
+from baryopt.flows import KIND_MIN_MAX, integrate_flow, pseudo_riemannian_residual
+from baryopt.ppa import run_ppa
+from baryopt.prox import (
+    fixed_point_residual,
+    minimize_fixed_weights,
+    prox,
+    resolvent_residual,
+    saddle_objective,
+)
+from baryopt.simplex_geometry import HybridPoint, SimplexPoint
 
 
 class _NoHessians(ObjectiveFamily):
@@ -112,6 +121,26 @@ class TestConstantFamily:
             ConstantFamily(np.array([1.0]))
         with pytest.raises(InvalidDomainError):
             ConstantFamily(np.array([0.0, np.inf]))
+
+    @pytest.mark.parametrize("m", [1.7, True, "2", 0, -1, float("nan")])
+    def test_m_must_be_an_integer_at_least_one(self, m):
+        with pytest.raises(DimensionMismatchError, match="m must be"):
+            ConstantFamily(np.array([0.0, 1.0]), m=m)
+
+    def test_integral_m_is_an_int(self):
+        for m in (2, 2.0, np.int64(2)):
+            fam = ConstantFamily(np.array([0.0, 1.0]), m=m)
+            assert fam.m == 2 and type(fam.m) is int
+
+
+class TestNonFiniteCoefficients:
+    @pytest.mark.parametrize("name", ["A", "b", "c"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_quadratic_family_rejects_them(self, name, bad):
+        coeffs = {"A": np.ones((2, 1, 1)), "b": np.zeros((2, 1)), "c": np.zeros(2)}
+        coeffs[name].flat[0] = bad
+        with pytest.raises(InvalidDomainError, match="A, b and c must be finite"):
+            QuadraticFamily(**coeffs)
 
 
 class TestOuterSum:
@@ -249,3 +278,33 @@ class TestFiniteDiffCheck:
         reports = finite_diff_check(fam, [np.array([0.2])])
         assert reports[0].flagged
         assert reports[0].jacobian_dev == pytest.approx(0.01, rel=1e-3)
+
+
+def _mismatched_weights_calls():
+    """The entry points taking a family and weights, each called with q of
+    size 3 against the 2-loss symmetric family."""
+    fam = symmetric_quadratic()
+    x = np.array([0.3])
+    q3 = SimplexPoint.uniform(3)
+    p3 = HybridPoint(x, q3)
+    result = prox(fam, x, SimplexPoint.uniform(2))
+    return {
+        "run_ppa": lambda: run_ppa(fam, x, q3),
+        "minimize_fixed_weights": lambda: minimize_fixed_weights(fam, x, q3),
+        "saddle_objective": lambda: saddle_objective(fam, x, q3, x, q3, 0.5),
+        "fixed_point_residual": lambda: fixed_point_residual(fam, p3),
+        "resolvent_residual": lambda: resolvent_residual(fam, p3, result, 0.5),
+        "pseudo_riemannian_residual":
+            lambda: pseudo_riemannian_residual(fam, x, q3, KIND_MIN_MAX),
+        "integrate_flow": lambda: integrate_flow(fam, x, q3, KIND_MIN_MAX),
+    }
+
+
+class TestWeightsContract:
+    """Every entry point that takes a family and weights checks their size
+    with `check_weights`, so a mismatch never reaches numpy."""
+
+    @pytest.mark.parametrize("entry", sorted(_mismatched_weights_calls()))
+    def test_mismatched_weights_are_one_documented_error(self, entry):
+        with pytest.raises(DimensionMismatchError, match="q has 3 entries, family has 2"):
+            _mismatched_weights_calls()[entry]()

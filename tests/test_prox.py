@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 from scipy.special import log_softmax
 
 from baryopt.errors import (
+    DimensionMismatchError,
     InvalidDomainError,
     ProxNonConvergenceError,
 )
@@ -311,6 +312,14 @@ class TestFailureModes:
         assert err.x is not None and err.x.shape == (1,)
         assert isinstance(err.q, SimplexPoint)
         assert err.grad_norm > cfg.inner_tol / 2.0
+
+    def test_resolvent_residual_checks_the_input_point(self):
+        """A size-1 x against m = 3 used to broadcast silently."""
+        fam = random_quadratic(np.random.default_rng(0), m=3, S=2)
+        q = SimplexPoint.uniform(2)
+        result = prox(fam, np.zeros(3), q)
+        with pytest.raises(DimensionMismatchError, match=r"expected x of shape \(3,\)"):
+            resolvent_residual(fam, HybridPoint(np.zeros(1), q), result, 0.5)
 
     def test_config_validation(self):
         with pytest.raises(InvalidDomainError):

@@ -200,6 +200,12 @@ class TestHybridPoint:
         with pytest.raises(DimensionMismatchError):
             hybrid_bregman(u, v)
 
+    def test_x_must_be_a_non_empty_vector(self):
+        with pytest.raises(DimensionMismatchError, match="x must be a 1-d vector of length >= 1"):
+            HybridPoint(np.zeros(0), SimplexPoint.uniform(2))
+        with pytest.raises(DimensionMismatchError):
+            HybridPoint(np.zeros((1, 1)), SimplexPoint.uniform(2))
+
 
 class TestPinnedChart:
     """Reduced logits (xi_bar, 0) and the maps in and out of the chart."""
