@@ -7,7 +7,8 @@ Two subcommands:
 
 `run` executes one experiment described by a JSON config (see the README for
 the schema) and writes `<base>.summary.json` plus, for iterative methods, a
-trace file `<base>.trace.csv` or `<base>.trace.json`.  `checks` runs the
+trace file `<base>.trace.csv` or `<base>.trace.json`; `<base>` is `--out-dir`
+joined with `output.path`, whose directories are created.  `checks` runs the
 property-check registry for one module scope or all of them and prints one
 `[PASS]`/`[FAIL]` line per check or, with `--format json`, the checks document
 that `run` also writes into its summary for the `checks` method.
@@ -18,7 +19,7 @@ keys are sorted, and nothing time- or host-dependent is written.
 
 Exit codes: 0 on success; 2 when the requested computation did not converge
 (proximal inner failure, iteration cap, flow divergence); 1 for config or
-domain errors and for failed checks.
+domain errors, for outputs that cannot be written and for failed checks.
 """
 
 import argparse
@@ -40,7 +41,7 @@ from .errors import (
     InvalidDomainError,
     ProxNonConvergenceError,
 )
-from .flows import KIND_MIN_MAX, KIND_MIN_MIN, FlowConfig, integrate_flow
+from .flows import KIND_MIN_MAX, KIND_MIN_MIN, STATUS_COMPLETED, FlowConfig, integrate_flow
 from .landscape import LandscapePoint, riemannian_hessian
 from .objectives import (
     ConstantFamily,
@@ -297,12 +298,9 @@ def _run_flow(fam, doc, params, summary, kind):
         + _vector_columns("q", fam.S)
         + ["F", "df_dt_analytic", "entropy", "entropy_rate_analytic"]
     )
-    rows = [
-        [trace.t[i], *trace.x[i], *trace.q[i], trace.objective[i],
-         trace.objective_rate[i], trace.entropy[i], trace.entropy_rate[i]]
-        for i in range(trace.t.size)
-    ]
-    code = EXIT_OK if trace.status == "completed" else EXIT_NOT_CONVERGED
+    rows = np.column_stack((trace.t, trace.x, trace.q, trace.objective, trace.objective_rate,
+                            trace.entropy, trace.entropy_rate)).tolist()
+    code = EXIT_OK if trace.status == STATUS_COMPLETED else EXIT_NOT_CONVERGED
     return (columns, rows), code
 
 
@@ -369,9 +367,9 @@ def _cmd_run(args):
 
     trace_data, code = _METHODS[method][1](fam, doc, params, summary)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     stem = output.get("path") or os.path.splitext(os.path.basename(args.config))[0]
     base = os.path.join(args.out_dir, stem)
+    os.makedirs(os.path.dirname(base) or ".", exist_ok=True)
     fmt = args.format or output.get("format") or "csv"
 
     written = []
@@ -433,7 +431,7 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         return _cmd_checks(args)
     except (ConfigError, InvalidDomainError, DimensionMismatchError,
-            DegenerateMetricError, HessiansUnavailableError) as err:
+            DegenerateMetricError, HessiansUnavailableError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILED
     except ProxNonConvergenceError as err:

@@ -23,8 +23,9 @@ full logit vector xi in R^S (in the pinned gauge its weight velocity
 chart), `_rk4_step` one classical RK4 step on it and `_integrate` the loop.
 A run takes n = round(t_end / dt) steps; `FlowConfig` requires n dt = t_end
 to 1e-9 relative.  States are recorded at t = 0, every `record_every`-th step
-and the end; their q, objective and rates come from the first RK4 stage (k1)
-of the step leaving them, so a run of n steps makes 4n + 1 loss evaluations.
+and the end.  A recorded row's q, objective, entropy and rates all come from
+the first RK4 stage (k1) of the step leaving its state, which normalises the
+logits once, so a run of n steps makes 4n + 1 loss evaluations.
 
 A run that diverges says why in `FlowTrace.divergence_reason`, with the index
 k of the step whose state (t = k dt) triggered it in `divergence_step`:
@@ -45,8 +46,10 @@ from .objectives import ObjectiveFamily
 from .simplex_geometry import (
     SimplexPoint,
     _log_softmax,
+    _vector,
     covariance,
     logits_from_point,
+    negentropy,
 )
 
 Array = np.ndarray
@@ -93,32 +96,24 @@ class FlowConfig:
 def _field(fam: ObjectiveFamily, x: Array, xi: Array, sign: float, pin: bool):
     """Right-hand side at (x, xi) for the full logit vector xi in R^S.
 
-    Returns (dx, dxi, sigma, vals): the two velocities, q = softargmax(xi) and
-    the losses l(x).  No validation: callers pass checked arrays.
+    Returns (dx, dxi, sigma, log_sigma, vals): the velocities, q = softargmax(xi),
+    log q and the losses l(x).  No validation: callers pass checked arrays.
     """
-    sigma = np.exp(_log_softmax(xi))
+    log_sigma = _log_softmax(xi)
+    sigma = np.exp(log_sigma)
     vals = fam.values(x)
     dx = -(fam.jacobian(x).T @ sigma)
     dxi = sign * (vals - vals[-1] if pin else vals)
-    return dx, dxi, sigma, vals
+    return dx, dxi, sigma, log_sigma, vals
 
 
 def _rates(sign: float, xi: Array, k1):
-    """Objective q^T l, its rate and the entropy rate at the state of `k1`."""
-    dx, _, sigma, vals = k1
+    """Objective q^T l, its rate, the entropy -q^T log q and its rate at k1's state."""
+    dx, _, sigma, log_sigma, vals = k1
     mean = float(sigma @ vals)
     var = float(sigma @ (vals - mean) ** 2)
     cov_l = sigma * vals - sigma * mean  # Cov(q) l without forming Cov
-    return mean, sign * var - float(dx @ dx), -sign * float(xi @ cov_l)
-
-
-def _entropy(xi: Array) -> float:
-    # Tolerates near-vertex states (probabilities underflowing to zero),
-    # which SimplexPoint rejects.  Normalizing with `_log_softmax` instead of
-    # np.logaddexp.reduce would move the last digit of recorded entropies.
-    log_sigma = xi - np.logaddexp.reduce(xi)
-    sigma = np.exp(log_sigma)
-    return -float(np.sum(np.where(sigma > 0.0, sigma * log_sigma, 0.0)))
+    return mean, sign * var - float(dx @ dx), -float(sigma @ log_sigma), -sign * float(xi @ cov_l)
 
 
 def _pinned(fam: ObjectiveFamily, x: Array, xi_bar: Array, kind: str):
@@ -131,7 +126,7 @@ def _pinned(fam: ObjectiveFamily, x: Array, xi_bar: Array, kind: str):
 
 def flow_vector_field(fam: ObjectiveFamily, x: Array, xi_bar: Array, kind: str):
     """Right-hand side (dx/dt, dxi_bar/dt) of the chosen flow."""
-    _, _, (dx, dxi, _, _) = _pinned(fam, x, xi_bar, kind)
+    _, _, (dx, dxi, *_) = _pinned(fam, x, xi_bar, kind)
     return dx, dxi[:-1]
 
 
@@ -144,12 +139,12 @@ def df_dt_analytic(fam: ObjectiveFamily, x: Array, xi_bar: Array, kind: str) -> 
 def entropy_rate_analytic(fam: ObjectiveFamily, x: Array, xi_bar: Array, kind: str) -> float:
     """Exact entropy rate -(+/-) xi^T Cov(q) l with xi = (xi_bar, 0)."""
     sign, xi, k1 = _pinned(fam, x, xi_bar, kind)
-    return _rates(sign, xi, k1)[2]
+    return _rates(sign, xi, k1)[3]
 
 
 def entropy(q: SimplexPoint) -> float:
     """Shannon entropy -sum q log q."""
-    return _entropy(q.log_weights)
+    return -negentropy(q)[0]
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -184,9 +179,9 @@ class FlowTrace:
 def _rk4_step(fam, x, xi, dt, sign, pin):
     """One classical RK4 step; returns the new state and the first stage k1."""
     k1 = _field(fam, x, xi, sign, pin)
-    k2x, k2s, _, _ = _field(fam, x + 0.5 * dt * k1[0], xi + 0.5 * dt * k1[1], sign, pin)
-    k3x, k3s, _, _ = _field(fam, x + 0.5 * dt * k2x, xi + 0.5 * dt * k2s, sign, pin)
-    k4x, k4s, _, _ = _field(fam, x + dt * k3x, xi + dt * k3s, sign, pin)
+    k2x, k2s, *_ = _field(fam, x + 0.5 * dt * k1[0], xi + 0.5 * dt * k1[1], sign, pin)
+    k3x, k3s, *_ = _field(fam, x + 0.5 * dt * k2x, xi + 0.5 * dt * k2s, sign, pin)
+    k4x, k4s, *_ = _field(fam, x + dt * k3x, xi + dt * k3s, sign, pin)
     new_x = x + (dt / 6.0) * (k1[0] + 2.0 * k2x + 2.0 * k3x + k4x)
     new_xi = xi + (dt / 6.0) * (k1[1] + 2.0 * k2s + 2.0 * k3s + k4s)
     return new_x, new_xi, k1
@@ -194,8 +189,6 @@ def _rk4_step(fam, x, xi, dt, sign, pin):
 
 def _start(fam: ObjectiveFamily, x0: Array, xi: Array, cfg: FlowConfig) -> Array:
     x = fam.check_point(x0)
-    if not np.all(np.isfinite(xi)):
-        raise InvalidDomainError("initial logits must be finite")
     if np.abs(xi).max() > cfg.xi_cap:
         raise InvalidDomainError("initial weights are already past the logit cap")
     return x
@@ -236,8 +229,7 @@ def _integrate(fam, x, xi, sign, pin, cfg):
                 if k1 is None:
                     k1 = _field(fam, x, xi, sign, pin)
                 t[n], xs[n], xis[n], qs[n] = k * dt, x, xi, k1[2]
-                objective, objective_rate, entropy_rate = _rates(sign, xi, k1)
-                rec[:, n] = objective, objective_rate, _entropy(xi), entropy_rate
+                rec[:, n] = _rates(sign, xi, k1)
                 if not np.all(np.isfinite(rec[:, n])):
                     # Near a finite-time blow-up the state can stay in float
                     # range while the losses or rates at it overflow.
@@ -294,9 +286,9 @@ def integrate_flow_full(
     sign = _sign(kind)
     if gauge not in (GAUGE_ZERO, GAUGE_PIN_LAST):
         raise ConfigError(f"unknown gauge {gauge!r}")
-    xi = np.asarray(xi0, dtype=float)
-    if xi.shape != (fam.S,):
-        raise DimensionMismatchError(f"xi0 must have shape ({fam.S},)")
+    xi = _vector(xi0, "initial logits")
+    if xi.size != fam.S:
+        raise DimensionMismatchError(f"initial logits have {xi.size} entries, family has {fam.S}")
     x = _start(fam, x0, xi, cfg)
     t, _, xi, q, _, _, _ = _integrate(fam, x, xi, sign, gauge == GAUGE_PIN_LAST, cfg)
     return t, xi, q
@@ -313,7 +305,7 @@ def pseudo_riemannian_residual(fam: ObjectiveFamily, x: Array, q: SimplexPoint, 
     """
     sgn = _sign(kind)
     x = fam.check_point(x)
-    _, field_a, _, vals = _field(fam, x, fam.check_weights(q).log_weights, sgn, True)
+    _, field_a, *_, vals = _field(fam, x, fam.check_weights(q).log_weights, sgn, True)
     cov = covariance(q)
 
     eigvals, eigvecs = np.linalg.eigh(cov)

@@ -280,18 +280,9 @@ def critical_value_scan(fam: ObjectiveFamily, points, tol: float = 1e-6) -> Crit
         if grad_norm <= tol:
             values.append(f_bar(fam, point))
     values = np.array(values)
-    if values.size == 0:
-        return CriticalValueReport(
-            n_points=len(points),
-            n_critical=0,
-            values=values,
-            spread=0.0,
-            threshold=tol,
-            passed=True,
-            note="no critical points among candidates",
-        )
-    spread = float(values.max() - values.min())
-    threshold = tol * (1.0 + float(np.abs(values).max()))
+    # An empty set has spread 0 and threshold tol, so it passes vacuously.
+    spread = float(np.ptp(values)) if values.size else 0.0
+    threshold = tol * (1.0 + float(np.abs(values).max(initial=0.0)))
     return CriticalValueReport(
         n_points=len(points),
         n_critical=int(values.size),
@@ -299,7 +290,7 @@ def critical_value_scan(fam: ObjectiveFamily, points, tol: float = 1e-6) -> Crit
         spread=spread,
         threshold=threshold,
         passed=spread <= threshold,
-        note="",
+        note="" if values.size else "no critical points among candidates",
     )
 
 

@@ -17,9 +17,13 @@ Conventions:
 
 All log-sum-exp work is max-shifted (`_log_softmax` and `_logsumexp`, numpy
 copies of scipy.special's log_softmax and logsumexp); linear-space
-probabilities appear only at API boundaries.  Instances and return values
-are immutable or freshly allocated, so everything here is safe to share
-across threads.
+probabilities appear only at API boundaries.  `_log_softmax` is the one
+normaliser of logits: `SimplexPoint`, `sigma_pinned` and each flow state go
+through it.  `prox` keeps `_logsumexp` for its scalar sums, among them the
+value phi, whose rounding decides which Armijo steps the line search
+accepts: rebuilding phi from `_log_softmax` would move prox digits.
+Instances and return values are immutable or freshly allocated, so
+everything here is safe to share across threads.
 """
 
 import math

@@ -69,6 +69,14 @@ class TestPpaRun:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_output_path_may_name_subdirectories(self, tmp_path):
+        doc = _ppa_config()
+        doc["output"] = {"path": "sub/run"}
+        cfg = _write_config(tmp_path, doc)
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        for name in ("run.trace.csv", "run.summary.json"):
+            assert (tmp_path / "out" / "sub" / name).is_file()
+
     def test_iteration_cap_exits_not_converged(self, tmp_path):
         cfg = _write_config(tmp_path, _ppa_config(max_outer_iter=3))
         assert main(["run", cfg, "--out-dir", str(tmp_path)]) == EXIT_NOT_CONVERGED
@@ -362,6 +370,17 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [captured.err.strip()]
         assert captured.err.startswith(f"error: {key} ") and fragment in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_unwritable_out_dir_is_one_error_line(self, tmp_path, capsys):
+        """An --out-dir that is a regular file fails after the run, without a traceback."""
+        cfg = _write_config(tmp_path, _ppa_config())
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        assert main(["run", cfg, "--out-dir", str(out)]) == EXIT_FAILED
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("error: ") and str(out) in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
     def test_bad_output_format_in_config(self, tmp_path, capsys):

@@ -282,6 +282,11 @@ class TestFullLogitIntegration:
         with pytest.raises(InvalidDomainError, match="logit cap"):
             integrate_flow_full(fam, np.zeros(1), np.array([800.0, 0.0]), KIND_MIN_MAX)
 
+    def test_start_logits_must_match_the_family(self):
+        with pytest.raises(DimensionMismatchError,
+                           match="^initial logits have 3 entries, family has 2$"):
+            integrate_flow_full(symmetric_quadratic(), np.zeros(1), np.zeros(3), KIND_MIN_MAX)
+
 
 class TestSingleEngine:
     """Every entry point runs the same right-hand side and RK4 loop."""
@@ -306,6 +311,35 @@ class TestSingleEngine:
                 # The record normalizes the raw logits (xi_bar, 0) itself;
                 # `entropy` gets them already normalized by SimplexPoint.
                 assert ent == pytest.approx(entropy(point_from_logits(xb)), rel=0, abs=1e-15)
+
+    @staticmethod
+    def _wide_logit_run():
+        """A (3, 4) ascent run whose logits reach about 113."""
+        fam = random_quadratic(np.random.default_rng(3), m=3, S=4)
+        q0 = SimplexPoint.from_probs([0.1, 0.2, 0.3, 0.4])
+        return integrate_flow(fam, np.array([0.1, -0.2, 0.3]), q0, KIND_MIN_MAX,
+                              FlowConfig(record_every=7))
+
+    def test_recorded_entropy_is_the_entropy_of_the_state(self):
+        """A row's entropy comes from the same normalised logits as its q."""
+        traces = [
+            integrate_flow(symmetric_quadratic(), *_start(), kind, FlowConfig(t_end=5.0))
+            for kind in (KIND_MIN_MAX, KIND_MIN_MIN)
+        ]
+        for tr in traces + [self._wide_logit_run()]:
+            expected = [entropy(point_from_logits(xb)) for xb in tr.xi_bar]
+            assert tr.entropy.tolist() == expected
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than double here")
+    def test_recorded_entropy_matches_an_extended_precision_reference(self):
+        """Max-shifted normalisation keeps large logits within 1e-15 of long-double sums."""
+        tr = self._wide_logit_run()
+        assert np.abs(tr.xi_bar).max() > 100.0
+        for xb, ent in zip(tr.xi_bar, tr.entropy):
+            xi = np.append(xb, 0.0).astype(np.longdouble)
+            log_q = xi - xi.max() - np.log(np.sum(np.exp(xi - xi.max())))
+            assert abs(ent - float(-np.sum(np.exp(log_q) * log_q))) <= 1e-15
 
     def test_pin_last_full_run_is_the_pinned_chart(self):
         fam = random_quadratic(np.random.default_rng(4), m=2, S=3)
