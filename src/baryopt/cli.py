@@ -8,10 +8,11 @@ Two subcommands:
 `run` executes one experiment described by a JSON config (see the README for
 the schema) and writes `<base>.summary.json` plus, for iterative methods, a
 trace file `<base>.trace.csv` or `<base>.trace.json`; `<base>` is `--out-dir`
-joined with `output.path`, whose directories are created.  `checks` runs the
-property-check registry for one module scope or all of them and prints one
-`[PASS]`/`[FAIL]` line per check or, with `--format json`, the checks document
-that `run` also writes into its summary for the `checks` method.
+joined with `output.path`, whose directories are created before the method
+runs.  `checks` runs the property-check registry for one module scope or all
+of them and prints one `[PASS]`/`[FAIL]` line per check or, with
+`--format json`, the checks document that `run` also writes into its summary
+for the `checks` method.
 
 Outputs are byte-identical across repeated invocations with the same inputs:
 floats are serialized with their shortest round-trip representation, JSON
@@ -19,7 +20,8 @@ keys are sorted, and nothing time- or host-dependent is written.
 
 Exit codes: 0 on success; 2 when the requested computation did not converge
 (proximal inner failure, iteration cap, flow divergence); 1 for config or
-domain errors, for outputs that cannot be written and for failed checks.
+domain errors, for outputs that cannot be written, for allocations that fail
+and for failed checks.
 """
 
 import argparse
@@ -365,12 +367,16 @@ def _cmd_run(args):
         "seed": args.seed,
     }
 
-    trace_data, code = _METHODS[method][1](fam, doc, params, summary)
-
     stem = output.get("path") or os.path.splitext(os.path.basename(args.config))[0]
     base = os.path.join(args.out_dir, stem)
-    os.makedirs(os.path.dirname(base) or ".", exist_ok=True)
     fmt = args.format or output.get("format") or "csv"
+    # Made before the run, so an unwritable output fails before any computation.
+    try:
+        os.makedirs(os.path.dirname(base) or ".", exist_ok=True)
+    except OSError as err:
+        raise OSError(f"cannot write output {base}: {err}") from err
+
+    trace_data, code = _METHODS[method][1](fam, doc, params, summary)
 
     written = []
     if trace_data is not None:
@@ -431,7 +437,7 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         return _cmd_checks(args)
     except (ConfigError, InvalidDomainError, DimensionMismatchError,
-            DegenerateMetricError, HessiansUnavailableError, OSError) as err:
+            DegenerateMetricError, HessiansUnavailableError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILED
     except ProxNonConvergenceError as err:

@@ -12,14 +12,14 @@ probabilities, sb = sigma[:-1], lbar the loss vector relative to the last
 loss, and I the Fisher information:
 
     grad f_bar = (J_l^T sigma,  I lbar)
-    Euclidean Hessian = [[sum_s sigma_s H_s,   J_lbar^T I       ],
-                         [I J_lbar,            (T(sb) x_2 lbar) I]]
-
-where T is the covariance-derivative tensor.  The Riemannian Hessian differs
-only in the xi_bar block, where the Christoffel correction replaces
-(T x_2 lbar) I = 2H by
-
+    Euclidean Hessian = [[sum_s sigma_s H_s,   J_lbar^T I],
+                         [I J_lbar,            2H        ]]
     H = (Diag(sb) D - D sb sb^T - sb sb^T D) / 2,   D = Diag(lbar - 1 sb^T lbar).
+
+2H is the closed form of (T(sb) x_2 lbar) I, T the covariance-derivative
+tensor; the checks test it against that contraction and finite differences.
+The Riemannian Hessian differs only in the xi_bar block, where the
+Christoffel correction (half the Euclidean block) leaves H.
 
 At a critical point the x block B1 is positive semidefinite and the Schur
 complement B2 = H - I J_lbar B1^{-1} J_lbar^T I is negative semidefinite, so
@@ -36,7 +36,7 @@ from .errors import (
     HessiansUnavailableError,
     positive_number,
 )
-from .objectives import ObjectiveFamily
+from .objectives import ObjectiveFamily, _finite_values
 from .prox import ProxConfig, prox
 from .simplex_geometry import (
     HybridPoint,
@@ -44,7 +44,6 @@ from .simplex_geometry import (
     _vector,
     as_logits,
     christoffel,
-    covariance_derivative_tensor,
     fisher_information,
     hybrid_bregman,
     logits_from_point,
@@ -83,20 +82,20 @@ class LandscapePoint:
         return f"LandscapePoint(x={self.x!r}, xi_bar={self.xi_bar!r})"
 
 
-def _check(fam: ObjectiveFamily, point: LandscapePoint):
-    return fam.check_point(point.x), fam.check_logits(point.xi_bar)
-
-
 def f_bar(fam: ObjectiveFamily, point: LandscapePoint) -> float:
     """Objective sigma(xi)^T l(x) in the reduced chart."""
-    x, xb = _check(fam, point)
-    return float(sigma_pinned(xb) @ fam.values(x))
+    x = fam.check_point(point.x)
+    xb = fam.check_logits(point.xi_bar)
+    return float(sigma_pinned(xb) @ _finite_values(fam, x))
 
 
-def _evaluate(fam: ObjectiveFamily, x, xb):
-    """Pinned probabilities, loss values, Jacobian and Fisher information."""
+def _evaluate(fam: ObjectiveFamily, point: LandscapePoint):
+    """Checked x, pinned probabilities, finite losses, Jacobian and Fisher information."""
+    x = fam.check_point(point.x)
+    xb = fam.check_logits(point.xi_bar)
+    vals = _finite_values(fam, x)
     fim, _ = fisher_information(xb)
-    return sigma_pinned(xb), fam.values(x), fam.jacobian(x), fim
+    return x, sigma_pinned(xb), vals, fam.jacobian(x), fim
 
 
 def _gradient(sigma, vals, jac, fim) -> Array:
@@ -112,30 +111,28 @@ def _metric(m, fim) -> Array:
     return out
 
 
+def _riemannian_xi_block(sigma, vals):
+    sb = sigma[:-1]
+    lbar = vals[:-1] - vals[-1]
+    d = lbar - float(sb @ lbar)
+    v = sb * d
+    return 0.5 * (np.diag(v) - np.outer(v, sb) - np.outer(sb, v))
+
+
 def _euclidean(fam: ObjectiveFamily, x, sigma, vals, jac, fim) -> Array:
     curvature = fam.weighted_hessian(x, sigma)
     if curvature is None:
         raise HessiansUnavailableError(
             "euclidean_hessian needs a family with second derivatives"
         )
-    lbar = vals[:-1] - vals[-1]
-    jbar = jac[:-1] - jac[-1]
-    m = fam.m
-    n = fam.S - 1
-    out = np.zeros((m + n, m + n))
-    out[:m, :m] = curvature
-    cross = jbar.T @ fim
-    out[:m, m:] = cross
-    out[m:, :m] = cross.T
-    tensor = covariance_derivative_tensor(sigma[:-1])
-    out[m:, m:] = np.einsum("ijk,j->ik", tensor, lbar) @ fim
-    return out
+    cross = (jac[:-1] - jac[-1]).T @ fim  # J_lbar^T I
+    return np.block([[curvature, cross], [cross.T, 2.0 * _riemannian_xi_block(sigma, vals)]])
 
 
 def grad_f_bar(fam: ObjectiveFamily, point: LandscapePoint) -> Array:
     """Gradient (J_l^T sigma, I(xi_bar) lbar), concatenated to length m + S - 1."""
-    x, xb = _check(fam, point)
-    return _gradient(*_evaluate(fam, x, xb))
+    _, sigma, vals, jac, fim = _evaluate(fam, point)
+    return _gradient(sigma, vals, jac, fim)
 
 
 def metric(point: LandscapePoint) -> Array:
@@ -148,20 +145,12 @@ def euclidean_hessian(fam: ObjectiveFamily, point: LandscapePoint) -> Array:
     """Euclidean Hessian of f_bar in the chart, assembled blockwise.
 
     The x block is the family's `weighted_hessian` at the pinned weights
-    (HessiansUnavailableError when it has none); the xi_bar block is the
-    covariance-derivative contraction (T(sb) x_2 lbar) I; the cross block is
-    J_lbar^T I.
+    (HessiansUnavailableError when it has none); the xi_bar block is 2H, the
+    closed form of the covariance-derivative contraction (T(sb) x_2 lbar) I,
+    which the `riemannian_correction_identity` check and finite differences
+    of the gradient confirm; the cross block is J_lbar^T I.
     """
-    x, xb = _check(fam, point)
-    return _euclidean(fam, x, *_evaluate(fam, x, xb))
-
-
-def _riemannian_xi_block(sigma, vals):
-    sb = sigma[:-1]
-    lbar = vals[:-1] - vals[-1]
-    d = lbar - float(sb @ lbar)
-    v = sb * d
-    return 0.5 * (np.diag(v) - np.outer(v, sb) - np.outer(sb, v))
+    return _euclidean(fam, *_evaluate(fam, point))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -202,13 +191,12 @@ def riemannian_hessian(
     """
     eps_critical = positive_number(eps_critical, "eps_critical", ConfigError)
     eps_eig_scale = positive_number(eps_eig_scale, "eps_eig_scale", ConfigError)
-    x, xb = _check(fam, point)
-    sigma, vals, jac, fim = _evaluate(fam, x, xb)
+    x, sigma, vals, jac, fim = _evaluate(fam, point)
     euclid = _euclidean(fam, x, sigma, vals, jac, fim)
     m = fam.m
 
     riem = euclid.copy()
-    riem[m:, m:] = _riemannian_xi_block(sigma, vals)
+    riem[m:, m:] *= 0.5
 
     grad_norm = float(np.linalg.norm(_gradient(sigma, vals, jac, fim)))
     eigvals = np.linalg.eigvalsh(0.5 * (riem + riem.T))
@@ -225,8 +213,7 @@ def riemannian_hessian(
         raise DegenerateMetricError(
             "x block of the Hessian is singular; Schur complement unavailable"
         )
-    jbar = jac[:-1] - jac[-1]
-    coupling = fim @ jbar  # (S-1) x m
+    coupling = riem[m:, :m]  # I J_lbar, (S-1) x m
     b2 = riem[m:, m:] - coupling @ np.linalg.solve(b1, coupling.T)
 
     b2_eigs = np.linalg.eigvalsh(0.5 * (b2 + b2.T))
@@ -247,9 +234,9 @@ def christoffel_correction(fam: ObjectiveFamily, point: LandscapePoint) -> Array
     This is the exact difference between the Euclidean and Riemannian xi_bar
     blocks; exposed for cross-checks against the geometry module.
     """
-    _, xb = _check(fam, point)
-    grad_xi = grad_f_bar(fam, point)[fam.m:]
-    return np.einsum("ijk,k->ij", christoffel(xb), grad_xi)
+    _, sigma, vals, jac, fim = _evaluate(fam, point)
+    grad_xi = _gradient(sigma, vals, jac, fim)[fam.m:]
+    return np.einsum("ijk,k->ij", christoffel(point.xi_bar), grad_xi)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -276,9 +263,9 @@ def critical_value_scan(fam: ObjectiveFamily, points, tol: float = 1e-6) -> Crit
     tol = positive_number(tol, "tol", ConfigError)
     values = []
     for point in points:
-        grad_norm = float(np.linalg.norm(grad_f_bar(fam, point)))
-        if grad_norm <= tol:
-            values.append(f_bar(fam, point))
+        _, sigma, vals, jac, fim = _evaluate(fam, point)
+        if float(np.linalg.norm(_gradient(sigma, vals, jac, fim))) <= tol:
+            values.append(float(sigma @ vals))
     values = np.array(values)
     # An empty set has spread 0 and threshold tol, so it passes vacuously.
     spread = float(np.ptp(values)) if values.size else 0.0
@@ -307,8 +294,8 @@ def fix_equals_critical_check(
     number (ConfigError otherwise).
     """
     tol = positive_number(tol, "tol", ConfigError)
-    x, _ = _check(fam, point)
-    is_critical = float(np.linalg.norm(grad_f_bar(fam, point))) <= tol
+    x, sigma, vals, jac, fim = _evaluate(fam, point)
+    is_critical = float(np.linalg.norm(_gradient(sigma, vals, jac, fim))) <= tol
     state = HybridPoint(x, point.q)
     displacement = hybrid_bregman(prox(fam, state.x, state.q, prox_cfg).point, state)
     is_fixed = displacement <= tol

@@ -72,6 +72,14 @@ class ObjectiveFamily:
         return xi_bar
 
 
+def _finite_values(fam: ObjectiveFamily, x) -> Array:
+    """`fam.values(x)` when every loss value is finite (InvalidDomainError otherwise)."""
+    vals = fam.values(x)
+    if not np.all(np.isfinite(vals)):
+        raise InvalidDomainError("family returned non-finite loss values")
+    return vals
+
+
 class QuadraticFamily(ObjectiveFamily):
     """Losses l_s(x) = 0.5 x^T A_s x + b_s^T x + c_s with symmetric PSD A_s."""
 

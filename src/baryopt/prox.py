@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDomainError, ProxNonConvergenceError, positive_fields
-from .objectives import ObjectiveFamily, barygradient
+from .objectives import ObjectiveFamily, _finite_values, barygradient
 from .simplex_geometry import (
     HybridPoint,
     SimplexPoint,
@@ -168,9 +168,7 @@ def prox(fam: ObjectiveFamily, x, q: SimplexPoint, cfg: ProxConfig = None) -> Pr
     lq = fam.check_weights(q).log_weights
 
     def evaluate(z):
-        vals = fam.values(z)
-        if not np.all(np.isfinite(vals)):
-            raise InvalidDomainError("family returned non-finite loss values")
+        vals = _finite_values(fam, z)
         shifted = lq + lam * vals
         r = np.exp(_log_softmax(shifted))
         dz = z - x

@@ -22,15 +22,21 @@ from baryopt.errors import ConfigError
 from baryopt.prox import bfne_gap
 
 
+@pytest.fixture(scope="module")
+def all_seed0():
+    """One full registry run at seed 0, shared by the tests that read it."""
+    return run_checks("all", seed=0)
+
+
 class TestRegistry:
-    def test_full_run_fails_exactly_the_known_set(self):
-        results = run_checks("all", seed=0)
+    def test_full_run_fails_exactly_the_known_set(self, all_seed0):
+        results = all_seed0
         assert len(results) == 37
         failures = {r.name for r in results if not r.passed}
         assert failures == set(KNOWN_FAILING)
 
-    def test_scope_filtering(self):
-        all_names = [r.name for r in run_checks("all", seed=0)]
+    def test_scope_filtering(self, all_seed0):
+        all_names = [r.name for r in all_seed0]
         per_scope = []
         for scope in SCOPES:
             per_scope.extend(r.name for r in run_checks(scope, seed=0))
@@ -121,8 +127,8 @@ class TestRegistryOrder:
         "pseudo_riemannian_rewrite",
     ]
 
-    def test_registry_order_is_pinned(self):
-        assert [r.name for r in run_checks("all", seed=0)] == self.ORDER
+    def test_registry_order_is_pinned(self, all_seed0):
+        assert [r.name for r in all_seed0] == self.ORDER
 
     def test_scopes_follow_the_registry(self):
         assert SCOPES == (

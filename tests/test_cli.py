@@ -205,6 +205,35 @@ class TestLandscapeRun:
         assert main(["run", cfg, "--out-dir", str(tmp_path)]) == EXIT_FAILED
         assert "singular" in capsys.readouterr().err
 
+    def _overflowing(self, **output):
+        doc = {
+            "problem": {"kind": "symmetric_quadratic"},
+            "method": "landscape",
+            "init": {"x": [1e300], "q": [0.3, 0.7]},
+        }
+        return dict(doc, output=output) if output else doc
+
+    def test_overflowing_losses_are_one_error_line(self, tmp_path, capsys):
+        """Losses that overflow used to give exit 0, `not-critical` and null entries."""
+        cfg = _write_config(tmp_path, self._overflowing())
+        with np.errstate(over="ignore"):
+            assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == EXIT_FAILED
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: family returned non-finite loss values"
+        ]
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "out" / "config.summary.json").exists()
+
+    def test_failed_run_leaves_its_output_directory(self, tmp_path, capsys):
+        """The output directory is made before the run and stays, empty,
+        when the run then fails."""
+        cfg = _write_config(tmp_path, self._overflowing(path="sub/run"))
+        with np.errstate(over="ignore"):
+            assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == EXIT_FAILED
+        assert (tmp_path / "out" / "sub").is_dir()
+        assert list((tmp_path / "out" / "sub").iterdir()) == []
+
 
 class TestChecksCommand:
     def test_passing_scope_exits_ok(self, capsys):
@@ -373,7 +402,7 @@ class TestConfigErrors:
         assert "Traceback" not in captured.err and captured.out == ""
 
     def test_unwritable_out_dir_is_one_error_line(self, tmp_path, capsys):
-        """An --out-dir that is a regular file fails after the run, without a traceback."""
+        """An --out-dir that is a regular file fails before the run, without a traceback."""
         cfg = _write_config(tmp_path, _ppa_config())
         out = tmp_path / "taken"
         out.write_text("", encoding="utf-8")
@@ -381,6 +410,34 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [captured.err.strip()]
         assert captured.err.startswith("error: ") and str(out) in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_unwritable_out_dir_fails_before_the_run(self, tmp_path, capsys):
+        """A checks run prints its results only once its output directory exists."""
+        cfg = _write_config(tmp_path, {"problem": {"kind": "symmetric_quadratic"},
+                                       "method": "checks"})
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        assert main(["run", cfg, "--out-dir", str(out)]) == EXIT_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(f"error: cannot write output {out}")
+        assert "Traceback" not in captured.err
+
+    def test_impossible_allocation_is_one_error_line(self, tmp_path, capsys):
+        """A flow of 1e15 steps asks for petabytes of trace storage."""
+        doc = {
+            "problem": {"kind": "symmetric_quadratic"},
+            "method": "flow_min_max",
+            "params": {"t_end": 1e15, "dt": 1.0},
+            "init": {"x": [0.3], "q": [0.3, 0.7]},
+        }
+        cfg = _write_config(tmp_path, doc)
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == EXIT_FAILED
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("error: Unable to allocate")
         assert "Traceback" not in captured.err and captured.out == ""
 
     def test_bad_output_format_in_config(self, tmp_path, capsys):

@@ -185,6 +185,82 @@ class TestSingleEvaluation:
         assert np.array_equal(report.metric, metric(point))
         assert report.grad_norm == float(np.linalg.norm(grad_f_bar(fam, point)))
 
+    def test_scan_evaluates_each_candidate_once(self, monkeypatch):
+        """One values, jacobian and fisher_information call per candidate,
+        critical or not; a critical one keeps f_bar's value, bit for bit."""
+        import baryopt.landscape as landscape_module
+
+        calls = {"values": 0, "jacobian": 0, "fim": 0}
+
+        class _Counting(QuadraticFamily):
+            def values(self, x):
+                calls["values"] += 1
+                return super().values(x)
+
+            def jacobian(self, x):
+                calls["jacobian"] += 1
+                return super().jacobian(x)
+
+        fisher = landscape_module.fisher_information
+
+        def counted_fisher(xi_bar):
+            calls["fim"] += 1
+            return fisher(xi_bar)
+
+        base = symmetric_quadratic()
+        fam = _Counting(base.A, base.b, base.c)
+        points = [_equilibrium(), LandscapePoint(np.array([1.7]), np.array([0.8]))]
+        monkeypatch.setattr(landscape_module, "fisher_information", counted_fisher)
+        report = critical_value_scan(fam, points)
+        assert calls == {"values": 2, "jacobian": 2, "fim": 2}
+        assert report.n_critical == 1
+        assert list(report.values) == [f_bar(base, _equilibrium())]
+
+
+class _Overflowing(ObjectiveFamily):
+    """Losses (inf, 0): the first loss overflows everywhere."""
+
+    def __init__(self):
+        self.m, self.S = 1, 2
+
+    def values(self, x):
+        self.check_point(x)
+        return np.array([np.inf, 0.0])
+
+    def jacobian(self, x):
+        self.check_point(x)
+        return np.zeros((2, 1))
+
+    def hessians(self, x):
+        self.check_point(x)
+        return np.ones((2, 1, 1))
+
+
+class TestNonFiniteLosses:
+    """Losses that overflow are a domain error at every entry point, not a
+    `not-critical` report with NaN blocks or a dropped scan candidate."""
+
+    @pytest.mark.parametrize("entry", [
+        f_bar,
+        grad_f_bar,
+        euclidean_hessian,
+        riemannian_hessian,
+        christoffel_correction,
+        fix_equals_critical_check,
+        pytest.param(lambda fam, point: critical_value_scan(fam, [_equilibrium(), point]),
+                     id="critical_value_scan"),
+    ])
+    def test_entry_points_raise(self, entry):
+        point = LandscapePoint(np.zeros(1), np.array([0.4]))
+        with pytest.raises(InvalidDomainError, match="^family returned non-finite loss values$"):
+            entry(_Overflowing(), point)
+
+    def test_overflow_of_a_quadratic(self):
+        point = LandscapePoint(np.array([1e300]), np.zeros(1))
+        with np.errstate(over="ignore"), pytest.raises(InvalidDomainError, match="non-finite"):
+            riemannian_hessian(symmetric_quadratic(), point)
+
+
 class TestConnectionCorrection:
     def test_correction_is_exactly_the_block_difference(self):
         """Euclidean block minus correction equals the Riemannian block;
