@@ -12,20 +12,25 @@ that hold for the flat exponential-family connection but not for the metric
 measured violation is informative; `checks all` therefore exits nonzero on a
 correct build.
 
-Adding a check: define `check_<name>(rng)` under `@_check(scope, tol, note)`,
-which registers it and turns its return value into a `CheckResult` named
-`<name>`.  The check returns `worst`, which passes when `worst <= tol`, or a
-tuple `(worst, ok[, fields[, tol]])`:
+Adding a check: define a generator `check_<name>(rng)` under
+`@_check(scope, tol, note)`, which registers it as a `CheckResult` named
+`<name>`.  The check yields each deviation it measures; the registry drains
+it at once, so draws keep their order, and passes it when the largest,
+`worst`, is `<= tol`.  A NaN deviation makes `worst` NaN and fails the check;
+yield a `0.0` floor where the deviations may all be negative, or absent.
+The generator may return `ok`, `(ok, fields)` or `(ok, fields, tol)`:
 
-- `ok` is a further condition the check must meet besides the bound;
+- `ok` is a further condition the check must meet besides the bound (reduce
+  a worst value that feeds it with `_worst`, which keeps a NaN);
 - `fields` fills the `{}` slots of the note, which then becomes a format
   string (write a literal brace as `{{`);
-- a fourth item replaces the registered `tol`, for a tolerance computed at
+- a third item replaces the registered `tol`, for a tolerance computed at
   run time (register such a check with `tol=None`).
 
-`at_least=True` turns the bound around (`worst >= tol`), for a gap that must
-stay above a negative slack.  Notes are string literals in the decorator,
-not docstrings, so `python -OO` keeps them.
+`at_least=True` takes the smallest deviation and turns the bound around
+(`worst >= tol`), for a gap that must stay above a negative slack.  Notes
+are string literals in the decorator, not docstrings, so `python -OO`
+keeps them.
 
 Each check draws from `default_rng([seed, index])`, where `index` is its
 place in definition order.  A check inserted before existing ones therefore
@@ -136,6 +141,21 @@ def format_result(res: CheckResult) -> str:
 _REGISTRY = []
 
 
+def _worst(values, least=False) -> float:
+    """The largest (or smallest) of `values`; NaN if any of them is NaN."""
+    return float(np.min(values) if least else np.max(values))
+
+
+def _drain(gen):
+    """The items `gen` yields, in order, and the value it returns."""
+    items = []
+    while True:
+        try:
+            items.append(next(gen))
+        except StopIteration as stop:
+            return items, stop.value
+
+
 def _check(scope, tol, note, *, name=None, at_least=False):
     """Register the decorated check under `scope` (see the module docstring)."""
 
@@ -144,9 +164,10 @@ def _check(scope, tol, note, *, name=None, at_least=False):
 
         @functools.wraps(fn)
         def run(rng, **kwargs):
-            out = fn(rng, **kwargs)
-            out = out if isinstance(out, tuple) else (out,)
-            worst, ok, fields, bound = out + (True, None, tol)[len(out) - 1:]
+            deviations, out = _drain(fn(rng, **kwargs))
+            worst = _worst(deviations, at_least)
+            out = () if out is None else out if isinstance(out, tuple) else (out,)
+            ok, fields, bound = out + (True, None, tol)[len(out):]
             within = worst >= bound if at_least else worst <= bound
             detail = note.format(**fields) if fields else note
             return CheckResult(result_name, ok and within, worst, bound, detail)
@@ -185,36 +206,29 @@ _INNER_TOL = 1e-10
 
 @_check("simplex_geometry", 1e-14, "softargmax(xi + c 1) = softargmax(xi)")
 def check_softargmax_shift_invariance(rng):
-    worst = 0.0
     for _ in range(50):
         size = int(rng.integers(2, 7))
         xi = rng.uniform(-4.0, 4.0, size=size)
         shift = float(rng.uniform(-100.0, 100.0))
-        diff = np.abs(softargmax(xi + shift).probs - softargmax(xi).probs).max()
-        worst = max(worst, float(diff))
-    return worst
+        yield float(np.abs(softargmax(xi + shift).probs - softargmax(xi).probs).max())
 
 
 @_check("simplex_geometry", 1e-12, "(grad h)^{-1}(grad h(q)) recovers q")
 def check_negentropy_gradient_roundtrip(rng):
-    worst = 0.0
     for _ in range(50):
         q = _random_simplex(rng, int(rng.integers(2, 7)), scale=3.0)
         _, grad = negentropy(q)
-        diff = np.abs(negentropy_grad_inverse(grad) - q.probs).max()
-        worst = max(worst, float(diff))
-    return worst
+        yield float(np.abs(negentropy_grad_inverse(grad) - q.probs).max())
 
 
 @_check("simplex_geometry", 1e-12, "KL(r||q) >= 0 with equality at r = q")
 def check_kl_divergence_nonnegative(rng):
-    worst = 0.0
     for _ in range(50):
         size = int(rng.integers(2, 7))
         r = _random_simplex(rng, size, scale=3.0)
         q = _random_simplex(rng, size, scale=3.0)
-        worst = max(worst, -kl(r, q), abs(kl(q, q)))
-    return worst
+        yield -kl(r, q)
+        yield abs(kl(q, q))
 
 
 @_check(
@@ -222,7 +236,6 @@ def check_kl_divergence_nonnegative(rng):
     "||dx||^2/2 + KL matches f(u) - f(v) - <grad f(v), u - v>",
 )
 def check_hybrid_bregman_closed_form(rng):
-    worst = 0.0
     for _ in range(30):
         size = int(rng.integers(2, 6))
         m = int(rng.integers(1, 4))
@@ -235,13 +248,11 @@ def check_hybrid_bregman_closed_form(rng):
             - float(v.x @ (u.x - v.x))
             - float(grad_v @ (u.q.probs - v.q.probs))
         )
-        worst = max(worst, abs(hybrid_bregman(u, v) - generic))
-    return worst
+        yield abs(hybrid_bregman(u, v) - generic)
 
 
 @_check("simplex_geometry", 1e-6, "I(xi_bar) is SPD and equals d sigma_bar / d xi_bar")
 def check_fisher_information_jacobian(rng):
-    worst = 0.0
     spd = True
     for _ in range(20):
         n = int(rng.integers(1, 6))
@@ -249,24 +260,21 @@ def check_fisher_information_jacobian(rng):
         fim, _ = fisher_information(xb)
         spd = spd and float(np.linalg.eigvalsh(fim).min()) > 0.0
         fd = _central_diff(lambda z: sigma_pinned(z)[:-1], xb, 1e-6)
-        worst = max(worst, float(np.abs(fd - fim).max()))
-    return worst, spd
+        yield float(np.abs(fd - fim).max())
+    return spd
 
 
 @_check("simplex_geometry", 1e-10, "I(xi_bar) I(xi_bar)^{-1} = Id for S = 2..8")
 def check_fisher_inverse_closed_form(rng):
-    worst = 0.0
     for size in range(2, 9):
         for _ in range(5):
             xb = rng.uniform(-4.0, 4.0, size=size - 1)
             fim, inv = fisher_information(xb)
-            worst = max(worst, float(np.abs(fim @ inv - np.eye(size - 1)).max()))
-    return worst
+            yield float(np.abs(fim @ inv - np.eye(size - 1)).max())
 
 
 @_check("simplex_geometry", 1e-6, "sum_s I_ks Gamma^s_ij = (1/2) dI_ij/dxi_k")
 def check_christoffel_first_kind(rng):
-    worst = 0.0
     for _ in range(15):
         n = int(rng.integers(1, 5))
         xb = rng.uniform(-2.0, 2.0, size=n)
@@ -274,8 +282,7 @@ def check_christoffel_first_kind(rng):
         fim, _ = fisher_information(xb)
         lowered = np.einsum("ijs,sk->ijk", gamma, fim)
         d_fim = _central_diff(lambda z: fisher_information(z)[0], xb, 1e-5)
-        worst = max(worst, float(np.abs(lowered - 0.5 * d_fim).max()))
-    return worst
+        yield float(np.abs(lowered - 0.5 * d_fim).max())
 
 
 @_check(
@@ -285,13 +292,11 @@ def check_christoffel_first_kind(rng):
     "(Diag(sigma_bar) - 2 sigma_bar sigma_bar^T)/2",
 )
 def check_christoffel_potential_correction(rng):
-    worst = 0.0
     for _ in range(15):
         n = int(rng.integers(1, 5))
         xb = rng.uniform(-2.0, 2.0, size=n)
         contracted = np.einsum("ijk,k->ij", christoffel(xb), sigma_pinned(xb)[:-1])
-        worst = max(worst, float(np.abs(contracted).max()))
-    return worst
+        yield float(np.abs(contracted).max())
 
 
 @_check(
@@ -300,16 +305,16 @@ def check_christoffel_potential_correction(rng):
     "Cov(q) is the softargmax Jacobian",
 )
 def check_covariance_kernel_jacobian(rng):
-    worst_kernel = 0.0
-    worst_fd = 0.0
+    kernel = []
     for _ in range(15):
         size = int(rng.integers(2, 6))
         q = _random_simplex(rng, size)
         cov = covariance(q)
-        worst_kernel = max(worst_kernel, float(np.abs(cov @ np.ones(size)).max()))
+        kernel.append(float(np.abs(cov @ np.ones(size)).max()))
         fd = _central_diff(lambda z: softargmax(z).probs, q.log_weights, 1e-6)
-        worst_fd = max(worst_fd, float(np.abs(fd - cov).max()))
-    return worst_fd, worst_kernel <= 1e-12, {"kernel": worst_kernel}
+        yield float(np.abs(fd - cov).max())
+    kernel = _worst(kernel)
+    return kernel <= 1e-12, {"kernel": kernel}
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +327,6 @@ def check_covariance_kernel_jacobian(rng):
     "(worst as a fraction of the per-point threshold)",
 )
 def check_family_derivatives_fd(rng):
-    worst = 0.0
     flagged = 0
     fams = [
         random_quadratic(rng, m=2, S=3),
@@ -333,13 +337,13 @@ def check_family_derivatives_fd(rng):
         points = [rng.uniform(-1.5, 1.5, size=fam.m) for _ in range(4)]
         for chk in finite_diff_check(fam, points):
             flagged += int(chk.flagged)
-            worst = max(worst, max(chk.jacobian_dev, chk.hessian_dev) / chk.threshold)
-    return worst, flagged == 0
+            yield chk.jacobian_dev / chk.threshold
+            yield chk.hessian_dev / chk.threshold
+    return flagged == 0
 
 
 @_check("objectives", 1e-12, "J^T q is affine in the weights")
 def check_barygradient_linearity(rng):
-    worst = 0.0
     for _ in range(20):
         fam = random_quadratic(rng, m=int(rng.integers(1, 4)), S=int(rng.integers(2, 5)))
         x = rng.uniform(-1.5, 1.5, size=fam.m)
@@ -349,36 +353,33 @@ def check_barygradient_linearity(rng):
         mix = SimplexPoint.from_probs(alpha * q1.probs + (1 - alpha) * q2.probs)
         lhs = barygradient(fam, x, mix)
         rhs = alpha * barygradient(fam, x, q1) + (1 - alpha) * barygradient(fam, x, q2)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+        yield float(np.abs(lhs - rhs).max())
 
 
 @_check("objectives", 1e-10, "tensorized values/Jacobian/weights match their factor composition")
 def check_outer_sum_consistency(rng):
-    worst = 0.0
     for _ in range(10):
         f1 = random_quadratic(rng, m=2, S=int(rng.integers(2, 4)))
         f2 = random_quadratic(rng, m=2, S=int(rng.integers(2, 5)))
         fam = outer_sum(f1, f2)
         x = rng.uniform(-1.0, 1.0, size=2)
         expected = np.add.outer(f1.values(x), f2.values(x)).ravel()
-        worst = max(worst, float(np.abs(fam.values(x) - expected).max()))
+        yield float(np.abs(fam.values(x) - expected).max())
         jac = fam.jacobian(x)
         j1, j2 = f1.jacobian(x), f2.jacobian(x)
         for s1 in range(f1.S):
             for s2 in range(f2.S):
                 row = jac[s1 * f2.S + s2]
-                worst = max(worst, float(np.abs(row - j1[s1] - j2[s2]).max()))
+                yield float(np.abs(row - j1[s1] - j2[s2]).max())
         q1 = _random_simplex(rng, f1.S)
         q2 = _random_simplex(rng, f2.S)
         kron = np.kron(q1.probs, q2.probs)
-        worst = max(worst, float(np.abs(outer_product(q1, q2).probs - kron).max()))
-    return worst
+        yield float(np.abs(outer_product(q1, q2).probs - kron).max())
 
 
 @_check("objectives", 1e-6, "product weights are detected and factored; perturbed ones rejected")
 def check_rank_one_factor_detection(rng):
-    worst = 0.0
+    yield 0.0
     ok = True
     for _ in range(10):
         s1 = int(rng.integers(2, 5))
@@ -388,18 +389,15 @@ def check_rank_one_factor_detection(rng):
         is_product, factors = rank_one_factor_check(outer_product(q1, q2), s1, s2)
         ok = ok and is_product and factors is not None
         if factors is not None:
-            worst = max(
-                worst,
-                float(np.abs(factors[0].probs - q1.probs).max()),
-                float(np.abs(factors[1].probs - q2.probs).max()),
-            )
+            yield float(np.abs(factors[0].probs - q1.probs).max())
+            yield float(np.abs(factors[1].probs - q2.probs).max())
     for _ in range(5):
         s1, s2 = 3, 3
         base = outer_product(_random_simplex(rng, s1), _random_simplex(rng, s2))
         noisy = SimplexPoint(base.log_weights + rng.normal(scale=0.5, size=s1 * s2))
         detected, _ = rank_one_factor_check(noisy, s1, s2)
         ok = ok and not detected
-    return worst, ok
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -411,23 +409,20 @@ def check_rank_one_factor_detection(rng):
     "x = x' + lam J(x')^T q' and the q block hold to the inner tolerance",
 )
 def check_prox_stationarity(rng):
-    worst = 0.0
     for fam in _prox_instances(rng)[:3]:
         for lam in _LAMBDAS:
             cfg = ProxConfig(lam=lam, inner_tol=_INNER_TOL)
             for _ in range(3):
                 p = _random_hybrid(rng, fam)
                 res = prox(fam, p.x, p.q, cfg)
-                r_x = float(np.linalg.norm(
+                yield float(np.linalg.norm(
                     p.x - res.x - lam * (fam.jacobian(res.x).T @ res.q.probs)
                 ))
-                worst = max(worst, r_x, res.residual[1])
-    return worst
+                yield res.residual[1]
 
 
 @_check("prox_core", 1e-10, "q' is proportional to q exp(lam l(x'))")
 def check_prox_weights_closed_form(rng):
-    worst = 0.0
     for fam in _prox_instances(rng)[:3]:
         for lam in _LAMBDAS:
             cfg = ProxConfig(lam=lam)
@@ -435,9 +430,8 @@ def check_prox_weights_closed_form(rng):
                 p = _random_hybrid(rng, fam)
                 res = prox(fam, p.x, p.q, cfg)
                 expected = SimplexPoint(p.q.log_weights + lam * fam.values(res.x))
-                worst = max(worst, float(np.abs(res.q.probs - expected.probs).max()))
-                worst = max(worst, abs(float(res.q.probs.sum()) - 1.0))
-    return worst
+                yield float(np.abs(res.q.probs - expected.probs).max())
+                yield abs(float(res.q.probs.sum()) - 1.0)
 
 
 @_check(
@@ -447,7 +441,6 @@ def check_prox_weights_closed_form(rng):
 )
 def check_bfne_inequality(rng, gap_fn=None):
     gap_fn = gap_fn or bfne_gap
-    worst_gap = np.inf
     pairs = 0
     for fam in _prox_instances(rng):
         for lam in _LAMBDAS:
@@ -455,22 +448,20 @@ def check_bfne_inequality(rng, gap_fn=None):
             for _ in range(15):
                 u = _random_hybrid(rng, fam)
                 v = _random_hybrid(rng, fam)
-                worst_gap = min(worst_gap, gap_fn(fam, u, v, cfg))
+                yield gap_fn(fam, u, v, cfg)
                 pairs += 1
-    return worst_gap, True, {"pairs": pairs}
+    return True, {"pairs": pairs}
 
 
 @_check(
     "prox_core", -1e-9, "<u - v, A(u) - A(v)> >= 0 for the saddle operator", at_least=True,
 )
 def check_operator_monotonicity(rng):
-    worst_gap = np.inf
     for fam in _prox_instances(rng)[:3]:
         for _ in range(30):
             u = _random_hybrid(rng, fam)
             v = _random_hybrid(rng, fam)
-            worst_gap = min(worst_gap, monotonicity_gap(fam, u, v))
-    return worst_gap
+            yield monotonicity_gap(fam, u, v)
 
 
 @_check(
@@ -478,20 +469,17 @@ def check_operator_monotonicity(rng):
     "grad f + lam A at the output matches grad f at the input (gauge-shifted)",
 )
 def check_resolvent_identity(rng):
-    worst = 0.0
     for fam in _prox_instances(rng)[:3]:
         for lam in _LAMBDAS:
             cfg = ProxConfig(lam=lam, inner_tol=_INNER_TOL)
             for _ in range(2):
                 p = _random_hybrid(rng, fam)
                 res = prox(fam, p.x, p.q, cfg)
-                worst = max(worst, resolvent_residual(fam, p, res, lam))
-    return worst
+                yield resolvent_residual(fam, p, res, lam)
 
 
 @_check("prox_core", 1e-6, "the prox of a tensorized family keeps product weights product")
 def check_prox_tensor_closure(rng):
-    worst = 0.0
     ok = True
     cfg = ProxConfig(lam=0.5, inner_tol=1e-12)
     for _ in range(10):
@@ -503,9 +491,9 @@ def check_prox_tensor_closure(rng):
         res = prox(fam, x, q, cfg)
         matrix = res.q.probs.reshape(f1.S, f2.S)
         svals = np.linalg.svd(matrix, compute_uv=False)
-        worst = max(worst, float(svals[1] / svals[0]))
+        yield float(svals[1] / svals[0])
         ok = ok and rank_one_factor_check(res.q, f1.S, f2.S)[0]
-    return worst, ok
+    return ok
 
 
 @_check(
@@ -513,7 +501,6 @@ def check_prox_tensor_closure(rng):
     "min-then-max agrees with the saddle value; r' maximizes at fixed x'",
 )
 def check_prox_minimax_order(rng):
-    worst = 0.0
     for fam in _prox_instances(rng)[:3]:
         for lam in (0.5, 2.0):
             cfg = ProxConfig(lam=lam, inner_tol=1e-12)
@@ -523,12 +510,11 @@ def check_prox_minimax_order(rng):
             scale = 1.0 + abs(h_saddle)
             z2 = minimize_fixed_weights(fam, p.x, res.q, cfg)
             h_inner = saddle_objective(fam, p.x, p.q, z2, res.q, lam)
-            worst = max(worst, abs(h_inner - h_saddle) / scale)
+            yield abs(h_inner - h_saddle) / scale
             for _ in range(10):
                 r = _random_simplex(rng, fam.S)
                 h_r = saddle_objective(fam, p.x, p.q, res.x, r, lam)
-                worst = max(worst, (h_r - h_saddle) / scale)
-    return worst
+                yield (h_r - h_saddle) / scale
 
 
 @_check(
@@ -536,7 +522,6 @@ def check_prox_minimax_order(rng):
     "for x-independent losses the prox fixes x and reweights in closed form",
 )
 def check_prox_constant_family_exact(rng):
-    worst = 0.0
     for _ in range(10):
         size = int(rng.integers(2, 6))
         m = int(rng.integers(1, 4))
@@ -545,14 +530,9 @@ def check_prox_constant_family_exact(rng):
         p = _random_hybrid(rng, fam)
         res = prox(fam, p.x, p.q, ProxConfig(lam=lam))
         expected = SimplexPoint(p.q.log_weights + lam * fam.values(p.x))
-        worst = max(
-            worst,
-            float(np.abs(res.x - p.x).max()),
-            float(np.abs(res.q.probs - expected.probs).max()),
-            res.residual[0],
-            res.residual[1],
-        )
-    return worst
+        yield float(np.abs(res.x - p.x).max())
+        yield float(np.abs(res.q.probs - expected.probs).max())
+        yield from res.residual
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +555,6 @@ def _symmetric_ppa_cfg(stop_tol=1e-14, max_outer_iter=500, record_every=1):
 def check_ppa_fejer_monotone(rng):
     fam = symmetric_quadratic()
     anchor = HybridPoint(np.zeros(1), SimplexPoint.from_probs([0.5, 0.5]))
-    worst = -np.inf
     starts = [
         (np.array([0.3]), SimplexPoint.from_probs([0.3, 0.7])),
         (np.array([-1.2]), SimplexPoint.from_probs([0.8, 0.2])),
@@ -584,9 +563,7 @@ def check_ppa_fejer_monotone(rng):
         trace = run_ppa(fam, x0, q0, _symmetric_ppa_cfg(max_outer_iter=150))
         dists = fejer_diagnostic(trace, anchor)
         steps = np.array([r.step_bregman for r in trace.records])
-        viol = dists[1:] - dists[:-1] + steps[1:]
-        worst = max(worst, float(viol.max()))
-    return worst
+        yield float((dists[1:] - dists[:-1] + steps[1:]).max())
 
 
 @_check(
@@ -600,9 +577,10 @@ def check_ppa_convergence_certificates(rng):
         fam, np.array([0.3]), SimplexPoint.from_probs([0.3, 0.7]), _symmetric_ppa_cfg()
     )
     final = trace.records[-1]
-    worst = max(final.barygrad_norm, final.loss_spread)
+    yield final.barygrad_norm
+    yield final.loss_spread
     fields = {"status": trace.status, "iterations": trace.iterations}
-    return worst, trace.status == STATUS_CONVERGED, fields
+    return trace.status == STATUS_CONVERGED, fields
 
 
 @_check(
@@ -628,7 +606,8 @@ def check_ppa_critical_values_agree(rng):
     report = critical_value_scan(fam, candidates, tol=1e-6)
     ok = converged == len(starts) and report.n_critical == len(starts)
     fields = {"n_critical": report.n_critical, "starts": len(starts)}
-    return report.spread, ok, fields, report.threshold
+    yield report.spread
+    return ok, fields, report.threshold
 
 
 @_check(
@@ -645,10 +624,10 @@ def check_ppa_constant_drift_flag(rng):
         record_every=1,
     )
     trace = run_ppa(fam, np.array([0.3]), SimplexPoint.uniform(3), cfg)
-    final_max_prob = float(trace.records[-1].q.probs.max())
+    yield 1.0 - float(trace.records[-1].q.probs.max())
     ok = trace.status == STATUS_MAX_ITER and trace.no_fixed_point_suspected
     fields = {"status": trace.status, "suspected": trace.no_fixed_point_suspected}
-    return 1.0 - final_max_prob, ok, fields
+    return ok, fields
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +648,6 @@ def _at(fn, fam):
 
 @_check("landscape", 1e-6, "(J^T sigma, I lbar) matches central differences of the objective")
 def check_landscape_gradient_fd(rng):
-    worst = 0.0
     fams = [random_quadratic(rng, m=2, S=3), random_quadratic(rng, m=1, S=2)]
     for fam in fams:
         for _ in range(5):
@@ -677,24 +655,23 @@ def check_landscape_gradient_fd(rng):
             grad = grad_f_bar(fam, pt)
             fd = _central_diff(_at(f_bar, fam), np.concatenate([pt.x, pt.xi_bar]), 1e-6)
             scale = 1.0 + float(np.abs(grad).max())
-            worst = max(worst, float(np.abs(fd - grad).max()) / scale)
-    return worst
+            yield float(np.abs(fd - grad).max()) / scale
 
 
 @_check("landscape", 1e-5, "blockwise Hessian matches FD of the gradient; asymmetry {sym:.1e}")
 def check_landscape_hessian_fd(rng):
-    worst = 0.0
-    worst_sym = 0.0
+    sym = []
     fams = [random_quadratic(rng, m=2, S=3), random_quadratic(rng, m=1, S=2)]
     for fam in fams:
         for _ in range(4):
             pt = _random_landscape_point(rng, fam)
             hess = euclidean_hessian(fam, pt)
-            worst_sym = max(worst_sym, float(np.abs(hess - hess.T).max()))
+            sym.append(float(np.abs(hess - hess.T).max()))
             fd = _central_diff(_at(grad_f_bar, fam), np.concatenate([pt.x, pt.xi_bar]), 1e-5)
             scale = 1.0 + float(np.abs(hess).max())
-            worst = max(worst, float(np.abs(fd - hess).max()) / scale)
-    return worst, worst_sym <= 1e-12, {"sym": worst_sym}
+            yield float(np.abs(fd - hess).max()) / scale
+    sym = _worst(sym)
+    return sym <= 1e-12, {"sym": sym}
 
 
 @_check(
@@ -703,7 +680,6 @@ def check_landscape_hessian_fd(rng):
     "block, equivalently (T x_2 lbar) I = 2H",
 )
 def check_riemannian_correction_identity(rng):
-    worst = 0.0
     for _ in range(8):
         fam = random_quadratic(rng, m=2, S=int(rng.integers(2, 5)))
         pt = _random_landscape_point(rng, fam)
@@ -711,17 +687,14 @@ def check_riemannian_correction_identity(rng):
         corr = christoffel_correction(fam, pt)
         m = fam.m
         diff = report.euclidean[m:, m:] - corr - report.riemannian[m:, m:]
-        worst = max(worst, float(np.abs(diff).max()))
+        yield float(np.abs(diff).max())
         # same statement via the covariance-derivative tensor
         sb = sigma_pinned(pt.xi_bar)[:-1]
         vals = fam.values(pt.x)
         lbar = vals[:-1] - vals[-1]
         fim, _ = fisher_information(pt.xi_bar)
         tensor_block = np.einsum("ijk,j->ik", covariance_derivative_tensor(sb), lbar) @ fim
-        worst = max(
-            worst, float(np.abs(tensor_block - 2.0 * report.riemannian[m:, m:]).max())
-        )
-    return worst
+        yield float(np.abs(tensor_block - 2.0 * report.riemannian[m:, m:]).max())
 
 
 @_check(
@@ -730,15 +703,13 @@ def check_riemannian_correction_identity(rng):
     "connection; the metric connection leaves a nonzero correction",
 )
 def check_log_partition_metric_hessian(rng):
-    worst = 0.0
     for _ in range(15):
         n = int(rng.integers(1, 5))
         xb = rng.uniform(-2.0, 2.0, size=n)
         fim, _ = fisher_information(xb)
         correction = np.einsum("ijk,k->ij", christoffel(xb), sigma_pinned(xb)[:-1])
         riem = fim - correction
-        worst = max(worst, float(np.abs(riem - fim).max()))
-    return worst
+        yield float(np.abs(riem - fim).max())
 
 
 @_check(
@@ -773,7 +744,8 @@ def check_hessian_inertia_sylvester(rng):
     fam = symmetric_quadratic()
     report = riemannian_hessian(fam, LandscapePoint(np.zeros(1), np.zeros(1)))
     saddle_ok = report.classification == "saddle" and report.inertia == (1, 1, 0)
-    return mismatches, saddle_ok, {"total": total, "classification": report.classification}
+    yield mismatches
+    return saddle_ok, {"total": total, "classification": report.classification}
 
 
 @_check("landscape", 1e-5, "with strictly convex losses every critical point has the same x")
@@ -790,11 +762,10 @@ def check_critical_points_share_x(rng):
         trace = run_ppa(fam, x0, q0, _symmetric_ppa_cfg())
         converged = converged and trace.status == STATUS_CONVERGED
         xs.append(trace.final.x)
-    worst = 0.0
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
-            worst = max(worst, float(np.abs(xs[i] - xs[j]).max()))
-    return worst, converged
+            yield float(np.abs(xs[i] - xs[j]).max())
+    return converged
 
 
 # ---------------------------------------------------------------------------
@@ -806,8 +777,8 @@ def check_critical_points_share_x(rng):
     "the descent flow never increases the objective (largest analytic rate {rate:.1e})",
 )
 def check_min_min_objective_monotone(rng):
-    worst = -np.inf
-    worst_rate = -np.inf
+    yield 0.0
+    rates = []
     runs = [
         (symmetric_quadratic(), np.array([0.3]), SimplexPoint.from_probs([0.3, 0.7]),
          FlowConfig(t_end=20.0, dt=0.01, record_every=5)),
@@ -816,9 +787,10 @@ def check_min_min_objective_monotone(rng):
     ]
     for fam, x0, q0, cfg in runs:
         trace = integrate_flow(fam, x0, q0, KIND_MIN_MIN, cfg)
-        worst = max(worst, float(np.diff(trace.objective).max()))
-        worst_rate = max(worst_rate, float(trace.objective_rate.max()))
-    return max(worst, 0.0), worst_rate <= 1e-12, {"rate": worst_rate}
+        yield float(np.diff(trace.objective).max())
+        rates.append(float(trace.objective_rate.max()))
+    rate = _worst(rates)
+    return rate <= 1e-12, {"rate": rate}
 
 
 @_check(
@@ -827,7 +799,6 @@ def check_min_min_objective_monotone(rng):
     "recorded trace (worst as a fraction of max(1e-5, 1e-3 |rate|))",
 )
 def check_flow_rates_match_trace(rng):
-    worst_ratio = 0.0
     fam = symmetric_quadratic()
     cfg = FlowConfig(t_end=2.0, dt=0.002, record_every=1)
     for kind in (KIND_MIN_MAX, KIND_MIN_MIN):
@@ -841,8 +812,7 @@ def check_flow_rates_match_trace(rng):
             fd = (series[2:] - series[:-2]) / dt2
             analytic = rates[1:-1]
             allowance = np.maximum(1e-5, 1e-3 * np.abs(analytic))
-            worst_ratio = max(worst_ratio, float((np.abs(fd - analytic) / allowance).max()))
-    return worst_ratio
+            yield float((np.abs(fd - analytic) / allowance).max())
 
 
 @_check(
@@ -851,7 +821,6 @@ def check_flow_rates_match_trace(rng):
     "covariance agree; the two flow rates differ by exactly 2 Var",
 )
 def check_objective_rate_variance_identity(rng):
-    worst = 0.0
     for _ in range(15):
         fam = random_quadratic(rng, m=2, S=int(rng.integers(2, 5)))
         x = rng.uniform(-1.0, 1.0, size=2)
@@ -865,16 +834,12 @@ def check_objective_rate_variance_identity(rng):
         var_quadratic = float(lbar @ (fim @ lbar))
         var_full = float(vals @ (sigma * vals) - mean * mean)
         scale = 1.0 + var_moments
-        worst = max(
-            worst,
-            abs(var_moments - var_quadratic) / scale,
-            abs(var_moments - var_full) / scale,
-        )
+        yield abs(var_moments - var_quadratic) / scale
+        yield abs(var_moments - var_full) / scale
         rate_gap = df_dt_analytic(fam, x, xb, KIND_MIN_MAX) - df_dt_analytic(
             fam, x, xb, KIND_MIN_MIN
         )
-        worst = max(worst, abs(rate_gap - 2.0 * var_moments) / scale)
-    return worst
+        yield abs(rate_gap - 2.0 * var_moments) / scale
 
 
 @_check("flows", 1e-8, "probability trajectories agree across logit gauges")
@@ -885,12 +850,11 @@ def check_flow_gauge_invariance(rng):
     xi0 = np.array([0.2, -0.3])
     _, _, q_zero = integrate_flow_full(fam, x0, xi0, KIND_MIN_MIN, cfg, gauge="zero")
     _, _, q_pin = integrate_flow_full(fam, x0, xi0, KIND_MIN_MIN, cfg, gauge="pin_last")
-    return float(np.abs(q_zero - q_pin).max())
+    yield float(np.abs(q_zero - q_pin).max())
 
 
 @_check("flows", 1e-8, "fixed points are equilibria and the attracting flow limit is fixed")
 def check_equilibria_match_fixed_points(rng):
-    worst = 0.0
     # Known fixed points are flow equilibria.
     instances = [
         (symmetric_quadratic(), np.zeros(1), np.zeros(1)),
@@ -899,7 +863,8 @@ def check_equilibria_match_fixed_points(rng):
     for fam, x, xb in instances:
         for kind in (KIND_MIN_MAX, KIND_MIN_MIN):
             dx, dxi = flow_vector_field(fam, x, xb, kind)
-            worst = max(worst, float(np.linalg.norm(dx)), float(np.linalg.norm(dxi)))
+            yield float(np.linalg.norm(dx))
+            yield float(np.linalg.norm(dxi))
     # The flow limit is a fixed point of the proximal map.
     fam = symmetric_quadratic()
     trace = integrate_flow(
@@ -909,10 +874,7 @@ def check_equilibria_match_fixed_points(rng):
     limit = HybridPoint(
         trace.final_x, SimplexPoint.from_probs(trace.q[-1])
     )
-    bg, spread, disp = fixed_point_residual(
-        fam, limit, ProxConfig(lam=0.5, inner_tol=1e-12)
-    )
-    return max(worst, bg, spread, disp)
+    yield from fixed_point_residual(fam, limit, ProxConfig(lam=0.5, inner_tol=1e-12))
 
 
 @_check(
@@ -921,8 +883,7 @@ def check_equilibria_match_fixed_points(rng):
     "(interior worst {interior:.1e} <= 1e-08)",
 )
 def check_pseudo_riemannian_rewrite(rng):
-    worst_interior = 0.0
-    worst_vertex = 0.0
+    interior = []
     for _ in range(10):
         fam = random_quadratic(rng, m=2, S=int(rng.integers(3, 5)))
         x = rng.uniform(-1.0, 1.0, size=2)
@@ -931,14 +892,11 @@ def check_pseudo_riemannian_rewrite(rng):
         near[int(rng.integers(0, fam.S))] = -30.0
         q_vtx = SimplexPoint(near)
         for kind in (KIND_MIN_MAX, KIND_MIN_MIN):
-            worst_interior = max(
-                worst_interior, pseudo_riemannian_residual(fam, x, q_int, kind)
-            )
-            worst_vertex = max(
-                worst_vertex, pseudo_riemannian_residual(fam, x, q_vtx, kind)
-            )
-    worst = max(worst_interior, worst_vertex)
-    return worst, worst_interior <= 1e-8, {"interior": worst_interior}
+            interior.append(pseudo_riemannian_residual(fam, x, q_int, kind))
+            yield interior[-1]
+            yield pseudo_riemannian_residual(fam, x, q_vtx, kind)
+    interior = _worst(interior)
+    return interior <= 1e-8, {"interior": interior}
 
 
 # ---------------------------------------------------------------------------

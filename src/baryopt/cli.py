@@ -432,10 +432,13 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A non-finite result ends in one `error:` line or a reported status;
+    # numpy's floating-point warnings would only print before it.
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_checks(args)
+        with np.errstate(all="ignore"):
+            if args.command == "run":
+                return _cmd_run(args)
+            return _cmd_checks(args)
     except (ConfigError, InvalidDomainError, DimensionMismatchError,
             DegenerateMetricError, HessiansUnavailableError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)

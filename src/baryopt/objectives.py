@@ -229,8 +229,8 @@ class DerivativeCheck:
     flagged: bool = field(init=False)
 
     def __post_init__(self):
-        devs = [self.jacobian_dev] + ([self.hessian_dev] if self.hessian_dev is not None else [])
-        object.__setattr__(self, "flagged", max(devs) > self.threshold)
+        devs = [d for d in (self.jacobian_dev, self.hessian_dev) if d is not None]
+        object.__setattr__(self, "flagged", not all(d <= self.threshold for d in devs))
 
 
 def _central_diff(fn, z, step):
@@ -246,8 +246,9 @@ def _central_diff(fn, z, step):
 def finite_diff_check(fam: ObjectiveFamily, points, step: float = 1e-5):
     """Check jacobian (and hessians, when available) against central differences.
 
-    Returns one `DerivativeCheck` per point; a point is flagged when any
-    deviation exceeds 1e-5 * (1 + Frobenius norm of the jacobian).
+    Returns one `DerivativeCheck` per point; a point is flagged unless every
+    deviation is at most 1e-5 * (1 + Frobenius norm of the jacobian), so a
+    NaN deviation or threshold flags it.
     """
     reports = []
     for x in points:

@@ -20,12 +20,25 @@ from baryopt.checks import (
 )
 from baryopt.errors import ConfigError
 from baryopt.prox import bfne_gap
+from baryopt.simplex_geometry import covariance
 
 
 @pytest.fixture(scope="module")
 def all_seed0():
     """One full registry run at seed 0, shared by the tests that read it."""
     return run_checks("all", seed=0)
+
+
+@pytest.fixture(scope="module")
+def all_seed123():
+    """One full registry run at seed 123, the reference for the scope runs."""
+    return run_checks("all", seed=123)
+
+
+@pytest.fixture(scope="module")
+def scopes_seed123():
+    """Each scope run on its own at seed 123, keyed by scope."""
+    return {scope: run_checks(scope, seed=123) for scope in SCOPES}
 
 
 class TestRegistry:
@@ -35,24 +48,25 @@ class TestRegistry:
         failures = {r.name for r in results if not r.passed}
         assert failures == set(KNOWN_FAILING)
 
-    def test_scope_filtering(self, all_seed0):
+    def test_scope_filtering(self, all_seed0, scopes_seed123):
+        """Names do not depend on the seed, so the seed-123 scope runs serve."""
         all_names = [r.name for r in all_seed0]
         per_scope = []
         for scope in SCOPES:
-            per_scope.extend(r.name for r in run_checks(scope, seed=0))
+            per_scope.extend(r.name for r in scopes_seed123[scope])
         assert sorted(per_scope) == sorted(all_names)
-        assert len(run_checks("prox_core", seed=0)) >= 5
+        assert len(scopes_seed123["prox_core"]) >= 5
 
     def test_unknown_scope(self):
         with pytest.raises(ConfigError):
             run_checks("geometry")
 
-    def test_random_streams_are_scope_independent(self):
+    def test_random_streams_are_scope_independent(self, all_seed123, scopes_seed123):
         """A check draws identical randomness whether run via its scope or
         via "all", so its measured worst value is bitwise identical."""
-        full = {r.name: r.worst for r in run_checks("all", seed=123)}
-        for scope in ("prox_core", "flows"):
-            for res in run_checks(scope, seed=123):
+        full = {r.name: r.worst for r in all_seed123}
+        for scope in SCOPES:
+            for res in scopes_seed123[scope]:
                 assert res.worst == full[res.name]
 
     def test_seed_changes_the_draws(self):
@@ -74,6 +88,44 @@ class TestNegativeControl:
     def test_straight_gap_passes(self):
         rng = np.random.default_rng([0, 7])
         assert check_bfne_inequality(rng).passed
+
+
+class TestNanNegativeControl:
+    """A NaN deviation fails its check wherever it is measured."""
+
+    def test_nan_gap_fails_the_bfne_check(self):
+        rng = np.random.default_rng([0, 7])
+        res = check_bfne_inequality(rng, gap_fn=lambda *args: float("nan"))
+        assert not res.passed
+        assert np.isnan(res.worst)
+
+    def test_later_nan_gap_fails_the_bfne_check(self):
+        """Only the third pair's slack is NaN; the others are the true ones."""
+        calls = []
+
+        def gap_fn(fam, u, v, cfg):
+            calls.append(None)
+            return float("nan") if len(calls) == 3 else bfne_gap(fam, u, v, cfg)
+
+        res = check_bfne_inequality(np.random.default_rng([0, 7]), gap_fn=gap_fn)
+        assert len(calls) > 3
+        assert not res.passed
+        assert np.isnan(res.worst)
+
+    def test_nan_covariance_fails_the_kernel_check(self, monkeypatch):
+        import baryopt.checks as checks
+
+        def nan_covariance(q):
+            cov = covariance(q)
+            cov[0, 0] = np.nan
+            return cov
+
+        monkeypatch.setattr(checks, "covariance", nan_covariance)
+        res = checks.check_covariance_kernel_jacobian(np.random.default_rng([0, 8]))
+        assert res.name == "covariance_kernel_jacobian"
+        assert not res.passed
+        assert np.isnan(res.worst)
+        assert "worst nan <= 1e-12" in res.detail
 
 
 class TestFormatting:

@@ -225,6 +225,18 @@ class TestLandscapeRun:
         assert "Traceback" not in captured.err and captured.out == ""
         assert not (tmp_path / "out" / "config.summary.json").exists()
 
+    def test_overflow_prints_no_numpy_warning(self, tmp_path):
+        """Run as a program, with numpy's default error state, stderr holds
+        the `error:` line alone and no overflow warning before it."""
+        cfg = _write_config(tmp_path, self._overflowing())
+        src = os.path.dirname(os.path.dirname(os.path.abspath(baryopt.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "baryopt.cli", "run", cfg, "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == EXIT_FAILED
+        assert proc.stderr.splitlines() == ["error: family returned non-finite loss values"]
+
     def test_failed_run_leaves_its_output_directory(self, tmp_path, capsys):
         """The output directory is made before the run and stays, empty,
         when the run then fails."""

@@ -50,6 +50,13 @@ class _WrongJacobian(QuadraticFamily):
         return super().jacobian(x) + 0.01
 
 
+class _NanJacobian(QuadraticFamily):
+    """Quadratic family whose reported jacobian is all NaN."""
+
+    def jacobian(self, x):
+        return np.full((self.S, self.m), np.nan)
+
+
 class TestQuadraticFamily:
     def test_symmetric_pair_hand_values(self):
         """l_1(0.3) = (0.3-1)^2/2 = 0.245 and l_2(0.3) = (0.3+1)^2/2 = 0.845."""
@@ -278,6 +285,13 @@ class TestFiniteDiffCheck:
         reports = finite_diff_check(fam, [np.array([0.2])])
         assert reports[0].flagged
         assert reports[0].jacobian_dev == pytest.approx(0.01, rel=1e-3)
+
+    def test_nan_jacobian_is_flagged(self):
+        """A NaN deviation (here with a NaN threshold too) flags the point."""
+        fam = _NanJacobian(np.ones((2, 1, 1)), np.zeros((2, 1)), np.zeros(2))
+        (rep,) = finite_diff_check(fam, [np.array([0.2])])
+        assert np.isnan(rep.jacobian_dev) and np.isnan(rep.threshold)
+        assert rep.flagged
 
 
 def _mismatched_weights_calls():
