@@ -56,6 +56,7 @@ from .flows import (
 )
 from .landscape import (
     LandscapePoint,
+    _inertia,
     christoffel_correction,
     critical_value_scan,
     euclidean_hessian,
@@ -724,19 +725,8 @@ def check_hessian_inertia_sylvester(rng):
         fam = random_quadratic(rng, m=2, S=3)
         pt = _random_landscape_point(rng, fam)
         report = riemannian_hessian(fam, pt)
-        m = fam.m
-
-        def _inertia(mat):
-            eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-            eps = 1e-8 * (1.0 + float(np.abs(eigs).max()))
-            return (
-                int(np.sum(eigs > eps)),
-                int(np.sum(eigs < -eps)),
-                int(np.sum(np.abs(eigs) <= eps)),
-            )
-
-        b1 = _inertia(report.riemannian[:m, :m])
-        b2 = _inertia(report.schur_b2)
+        b1, _ = _inertia(report.riemannian[:fam.m, :fam.m])
+        b2, _ = _inertia(report.schur_b2)
         combined = tuple(a + b for a, b in zip(b1, b2))
         total += 1
         mismatches += int(combined != report.inertia)
@@ -848,8 +838,8 @@ def check_flow_gauge_invariance(rng):
     cfg = FlowConfig(t_end=10.0, dt=0.002, record_every=1)
     x0 = np.array([0.3])
     xi0 = np.array([0.2, -0.3])
-    _, _, q_zero = integrate_flow_full(fam, x0, xi0, KIND_MIN_MIN, cfg, gauge="zero")
-    _, _, q_pin = integrate_flow_full(fam, x0, xi0, KIND_MIN_MIN, cfg, gauge="pin_last")
+    q_zero = integrate_flow_full(fam, x0, xi0, KIND_MIN_MIN, cfg, gauge="zero").q
+    q_pin = integrate_flow_full(fam, x0, xi0, KIND_MIN_MIN, cfg, gauge="pin_last").q
     yield float(np.abs(q_zero - q_pin).max())
 
 
@@ -911,8 +901,11 @@ def run_checks(scope: str = "all", seed: int = 0):
 
     Each check draws from `default_rng([seed, index])` with its stable
     registry index, so a check's random stream is identical whether it runs
-    alone, inside its scope, or inside "all".
+    alone, inside its scope, or inside "all".  The seed must be an integer
+    >= 0 (ConfigError otherwise).
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     if scope != "all" and scope not in SCOPES:
         raise ConfigError(
             f"unknown scope {scope!r}; expected one of {SCOPES + ('all',)}"

@@ -1,4 +1,4 @@
-"""Coupled gradient flows on R^m x int(simplex) in the pinned chart.
+"""Coupled gradient flows on R^m x int(simplex).
 
 Two continuous-time dynamics share the x equation dx/dt = -J_l(x)^T q and
 differ in the weight equation, written for xi_bar with q = softargmax((xi_bar, 0)):
@@ -20,7 +20,8 @@ pinned-chart field is one such representative.
 One engine serves every entry point: `_field` is the right-hand side on the
 full logit vector xi in R^S (in the pinned gauge its weight velocity
 (+/-)(l - l_S 1) ends in an exact zero, so xi = (xi_bar, 0) stays the pinned
-chart), `_rk4_step` one classical RK4 step on it and `_integrate` the loop.
+chart), `_rk4_step` one classical RK4 step on it and `_integrate` the loop,
+which builds the `FlowTrace` of `integrate_flow_full` and its pinned case.
 A run takes n = round(t_end / dt) steps; `FlowConfig` requires n dt = t_end
 to 1e-9 relative.  States are recorded at t = 0, every `record_every`-th step
 and the end.  A recorded row's q, objective, entropy and rates all come from
@@ -151,14 +152,16 @@ def entropy(q: SimplexPoint) -> float:
 class FlowTrace:
     """Recorded trajectory of one flow run.
 
-    `divergence_reason` and `divergence_step` are None for a completed run.
+    `xi` holds the full logits in the run's gauge, `xi_bar` the chart logits
+    xi[:, :-1] - xi[:, -1:].  `divergence_reason` and `divergence_step` are
+    None for a completed run.
     """
 
     kind: str
     status: str
     t: Array = field(repr=False)
     x: Array = field(repr=False)
-    xi_bar: Array = field(repr=False)
+    xi: Array = field(repr=False)
     q: Array = field(repr=False)
     objective: Array = field(repr=False)
     objective_rate: Array = field(repr=False)
@@ -166,6 +169,10 @@ class FlowTrace:
     entropy_rate: Array = field(repr=False)
     divergence_reason: str
     divergence_step: int
+
+    @property
+    def xi_bar(self) -> Array:
+        return self.xi[:, :-1] - self.xi[:, -1:]
 
     @property
     def final_x(self) -> Array:
@@ -187,20 +194,9 @@ def _rk4_step(fam, x, xi, dt, sign, pin):
     return new_x, new_xi, k1
 
 
-def _start(fam: ObjectiveFamily, x0: Array, xi: Array, cfg: FlowConfig) -> Array:
-    x = fam.check_point(x0)
-    if np.abs(xi).max() > cfg.xi_cap:
-        raise InvalidDomainError("initial weights are already past the logit cap")
-    return x
-
-
-def _integrate(fam, x, xi, sign, pin, cfg):
-    """The RK4 loop over checked start arrays.
-
-    Returns (t, x, xi, q, rec, reason, step): the recorded states, rec with
-    rows objective, objective rate, entropy and entropy rate, and the
-    divergence reason and step (None when the run completed).
-    """
+def _integrate(fam, x, xi, kind, pin, cfg) -> FlowTrace:
+    """The RK4 loop over checked start arrays; returns the recorded trace."""
+    sign = _sign(kind)
     n_steps, every, dt = cfg.n_steps, cfg.record_every, cfg.dt
     size = n_steps // every + 2
     t = np.empty(size)
@@ -241,7 +237,8 @@ def _integrate(fam, x, xi, sign, pin, cfg):
             x, xi, k = new_x, new_xi, k + 1
             if np.abs(xi).max() > cfg.xi_cap:
                 reason, step = "logit_cap", k
-    return t[:n], xs[:n], xis[:n], qs[:n], rec[:, :n], reason, step
+    status = STATUS_COMPLETED if reason is None else STATUS_DIVERGED
+    return FlowTrace(kind, status, t[:n], xs[:n], xis[:n], qs[:n], *rec[:, :n], reason, step)
 
 
 def integrate_flow(
@@ -253,15 +250,11 @@ def integrate_flow(
 ) -> FlowTrace:
     """Integrate the flow from (x0, q0) with fixed-step RK4 in the pinned chart.
 
-    Records the state at t = 0, every `record_every`-th step, and the last
-    valid state; see the module docstring for the divergence rules.
+    The "pin_last" run of `integrate_flow_full` from the logits (xi_bar(q0), 0),
+    so the last logit stays exactly 0.
     """
-    cfg = cfg or FlowConfig()
-    xi = np.append(logits_from_point(fam.check_weights(q0)), 0.0)
-    x = _start(fam, x0, xi, cfg)
-    t, x, xi, q, rec, reason, step = _integrate(fam, x, xi, _sign(kind), True, cfg)
-    status = STATUS_COMPLETED if reason is None else STATUS_DIVERGED
-    return FlowTrace(kind, status, t, x, xi[:, :-1], q, *rec, reason, step)
+    xi0 = np.append(logits_from_point(fam.check_weights(q0)), 0.0)
+    return integrate_flow_full(fam, x0, xi0, kind, cfg, gauge=GAUGE_PIN_LAST)
 
 
 def integrate_flow_full(
@@ -271,27 +264,27 @@ def integrate_flow_full(
     kind: str,
     cfg: FlowConfig = None,
     gauge: str = GAUGE_ZERO,
-):
+) -> FlowTrace:
     """Integrate the flow in unreduced logit coordinates xi in R^S.
 
     The weight equation dxi/dt = (+/-)(l + gamma * 1) is defined only up to
     a multiple of the ones vector; `gauge` picks the representative:
     "zero" uses gamma = 0, "pin_last" uses gamma = -l_S (freezing xi_S).
     Probability trajectories agree across gauges, which the checks module
-    verifies.  Runs the same loop as `integrate_flow`, with its recording
-    grid (`record_every`), logit cap and divergence rules; returns (t, xi, q)
-    arrays at the recorded states.
+    verifies.  Records the state at t = 0, every `record_every`-th step and
+    the last valid state; see the module docstring for the divergence rules.
+    Returns the run's `FlowTrace`, with the full logits in `xi`.
     """
     cfg = cfg or FlowConfig()
-    sign = _sign(kind)
     if gauge not in (GAUGE_ZERO, GAUGE_PIN_LAST):
         raise ConfigError(f"unknown gauge {gauge!r}")
     xi = _vector(xi0, "initial logits")
     if xi.size != fam.S:
         raise DimensionMismatchError(f"initial logits have {xi.size} entries, family has {fam.S}")
-    x = _start(fam, x0, xi, cfg)
-    t, _, xi, q, _, _, _ = _integrate(fam, x, xi, sign, gauge == GAUGE_PIN_LAST, cfg)
-    return t, xi, q
+    x = fam.check_point(x0)
+    if np.abs(xi).max() > cfg.xi_cap:
+        raise InvalidDomainError("initial weights are already past the logit cap")
+    return _integrate(fam, x, xi, kind, gauge == GAUGE_PIN_LAST, cfg)
 
 
 def pseudo_riemannian_residual(fam: ObjectiveFamily, x: Array, q: SimplexPoint, kind: str) -> float:

@@ -153,6 +153,15 @@ def euclidean_hessian(fam: ObjectiveFamily, point: LandscapePoint) -> Array:
     return _euclidean(fam, *_evaluate(fam, point))
 
 
+def _inertia(mat, eps_scale=EPS_EIG_SCALE):
+    """(positive, negative, zero) eigenvalue counts of sym(mat), and the zero
+    band eps = eps_scale * (1 + max |eigenvalue|) they were counted with."""
+    eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+    eps = eps_scale * (1.0 + float(np.abs(eigs).max()))
+    counts = (int(np.sum(eigs > eps)), int(np.sum(eigs < -eps)), int(np.sum(np.abs(eigs) <= eps)))
+    return counts, eps
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class HessianReport:
     """Second-order audit of a chart point."""
@@ -199,13 +208,7 @@ def riemannian_hessian(
     riem[m:, m:] *= 0.5
 
     grad_norm = float(np.linalg.norm(_gradient(sigma, vals, jac, fim)))
-    eigvals = np.linalg.eigvalsh(0.5 * (riem + riem.T))
-    eps_eig = eps_eig_scale * (1.0 + float(np.abs(eigvals).max()))
-    inertia = (
-        int(np.sum(eigvals > eps_eig)),
-        int(np.sum(eigvals < -eps_eig)),
-        int(np.sum(np.abs(eigvals) <= eps_eig)),
-    )
+    inertia, eps_eig = _inertia(riem, eps_eig_scale)
 
     b1 = riem[:m, :m]
     b1_eigs = np.linalg.eigvalsh(0.5 * (b1 + b1.T))

@@ -86,16 +86,19 @@ class ProxResult:
         return HybridPoint(self.x, self.q)
 
 
-def _descend(evaluate, hess, z0, tol, max_iter, gd_step):
-    """Armijo descent to ||grad|| <= tol, Newton directions while hess gives them.
+def _descend(evaluate, hess, z0, cfg: ProxConfig):
+    """Armijo descent to ||grad|| <= cfg.inner_tol / max(1, cfg.lam).
 
     evaluate(z) -> (value, grad, ev), where ev carries what the caller
     computed at z; hess(z, ev) -> SPD matrix, or None when second derivatives
-    are unavailable, after which every step is a gradient step.  The Newton
-    matrix at z reuses the evaluation that accepted z, so no point is
-    evaluated twice.  Returns (z, ev, steps); raises ProxNonConvergenceError
-    with the best iterate attached when the budget runs out.
+    are unavailable, after which every step is a gradient step (all of them
+    when `cfg.allow_newton` is False); gradient steps start at t = cfg.lam.
+    The Newton matrix at z reuses the evaluation that accepted z, so no point
+    is evaluated twice.  Returns (z, ev, steps); raises ProxNonConvergenceError
+    with the best iterate attached after `cfg.inner_max_iter` steps.
     """
+    tol = cfg.inner_tol / max(1.0, cfg.lam)
+    hess = hess if cfg.allow_newton else None
     z = np.array(z0, dtype=float)
     value, grad, ev = evaluate(z)
     steps = 0
@@ -103,7 +106,7 @@ def _descend(evaluate, hess, z0, tol, max_iter, gd_step):
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= tol:
             return z, ev, steps
-        if steps >= max_iter:
+        if steps >= cfg.inner_max_iter:
             raise ProxNonConvergenceError(
                 f"inner solver: no convergence after {steps} steps "
                 f"(|grad| = {grad_norm:.3e}, tol = {tol:.3e})",
@@ -112,7 +115,7 @@ def _descend(evaluate, hess, z0, tol, max_iter, gd_step):
                 iterations=steps,
             )
         direction = None
-        step0 = gd_step
+        step0 = cfg.lam
         if hess is not None:
             H = hess(z, ev)
             if H is None:
@@ -185,10 +188,8 @@ def prox(fam: ObjectiveFamily, x, q: SimplexPoint, cfg: ProxConfig = None) -> Pr
         spread = (jac.T * r) @ jac - np.outer(mean_grad, mean_grad)
         return curvature + lam * spread + np.eye(fam.m) / lam
 
-    tol = cfg.inner_tol / max(1.0, lam)
     try:
-        z, ev, steps = _descend(evaluate, hess if cfg.allow_newton else None, x, tol,
-                                cfg.inner_max_iter, gd_step=lam)
+        z, ev, steps = _descend(evaluate, hess, x, cfg)
     except ProxNonConvergenceError as err:
         if err.x is not None and err.q is None:
             err.q = SimplexPoint(lq + lam * fam.values(err.x))
@@ -235,9 +236,7 @@ def minimize_fixed_weights(fam: ObjectiveFamily, x, r: SimplexPoint, cfg: ProxCo
         curvature = fam.weighted_hessian(z, p)
         return None if curvature is None else curvature + np.eye(fam.m) / lam
 
-    tol = cfg.inner_tol / max(1.0, lam)
-    z, _, _ = _descend(evaluate, hess if cfg.allow_newton else None, x, tol,
-                       cfg.inner_max_iter, gd_step=lam)
+    z, _, _ = _descend(evaluate, hess, x, cfg)
     return z
 
 

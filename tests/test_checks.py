@@ -61,6 +61,11 @@ class TestRegistry:
         with pytest.raises(ConfigError):
             run_checks("geometry")
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError, match="^seed must be an integer >= 0"):
+            run_checks("all", seed=seed)
+
     def test_random_streams_are_scope_independent(self, all_seed123, scopes_seed123):
         """A check draws identical randomness whether run via its scope or
         via "all", so its measured worst value is bitwise identical."""

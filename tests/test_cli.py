@@ -276,6 +276,11 @@ class TestChecksCommand:
             main(["checks", "geometry"])
         assert info.value.code == 2
 
+    def test_negative_seed_is_one_error_line(self, capsys):
+        assert main(["checks", "ppa", "--seed", "-1"]) == EXIT_FAILED
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be an integer >= 0, got -1\n"
+
     def test_out_dir_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["checks", "objectives", "--out-dir", "x"])

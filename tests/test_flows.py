@@ -236,7 +236,7 @@ class TestDivergence:
 class TestFullLogitIntegration:
     def test_pin_last_gauge_freezes_the_last_logit(self):
         fam = symmetric_quadratic()
-        t, xi, q = integrate_flow_full(
+        tr = integrate_flow_full(
             fam,
             np.array([0.3]),
             np.array([0.2, -0.4]),
@@ -244,17 +244,21 @@ class TestFullLogitIntegration:
             FlowConfig(t_end=2.0, dt=0.01),
             gauge="pin_last",
         )
-        assert np.all(xi[:, -1] == xi[0, -1])
-        np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(tr.xi[:, -1] == tr.xi[0, -1])
+        np.testing.assert_allclose(tr.q.sum(axis=1), 1.0, atol=1e-12)
 
     def test_probability_trajectories_are_gauge_invariant(self):
         fam = symmetric_quadratic()
         args = (np.array([0.3]), np.array([0.2, -0.4]), KIND_MIN_MAX,
                 FlowConfig(t_end=2.0, dt=0.01))
-        _, xi_zero, q_zero = integrate_flow_full(fam, *args, gauge="zero")
-        _, xi_pin, q_pin = integrate_flow_full(fam, *args, gauge="pin_last")
-        np.testing.assert_allclose(q_zero, q_pin, atol=1e-8)
-        assert np.abs(xi_zero - xi_pin).max() > 1e-3  # the logits do differ
+        zero = integrate_flow_full(fam, *args, gauge="zero")
+        pin = integrate_flow_full(fam, *args, gauge="pin_last")
+        np.testing.assert_allclose(zero.q, pin.q, atol=1e-8)
+        assert np.abs(zero.xi - pin.xi).max() > 1e-3  # the logits do differ
+        # Every recorded quantity is gauge-invariant, since Cov(q) 1 = 0.
+        for name in ("xi_bar", "objective", "objective_rate", "entropy", "entropy_rate"):
+            np.testing.assert_allclose(getattr(zero, name), getattr(pin, name), rtol=0,
+                                       atol=1e-10, err_msg=name)
 
     def test_unknown_gauge(self):
         with pytest.raises(ConfigError):
@@ -269,11 +273,36 @@ class TestFullLogitIntegration:
     def test_records_follow_the_grid_and_the_cap(self):
         fam = symmetric_quadratic()
         args = (np.array([0.3]), np.array([0.2, -0.4]), KIND_MIN_MIN)
-        t, xi, q = integrate_flow_full(fam, *args, FlowConfig(t_end=0.5, dt=0.01, record_every=8))
-        np.testing.assert_allclose(t, [0.0, 0.08, 0.16, 0.24, 0.32, 0.40, 0.48, 0.50], atol=1e-12)
-        assert xi.shape == q.shape == (8, 2)
-        t, xi, _ = integrate_flow_full(fam, *args, FlowConfig(t_end=200.0, dt=0.01, xi_cap=5.0))
-        assert t[-1] < 200.0 and np.abs(xi[-1]).max() > 5.0
+        tr = integrate_flow_full(fam, *args, FlowConfig(t_end=0.5, dt=0.01, record_every=8))
+        np.testing.assert_allclose(tr.t, [0.0, 0.08, 0.16, 0.24, 0.32, 0.40, 0.48, 0.50],
+                                   atol=1e-12)
+        assert tr.xi.shape == tr.q.shape == (8, 2)
+        tr = integrate_flow_full(fam, *args, FlowConfig(t_end=200.0, dt=0.01, xi_cap=5.0))
+        assert tr.t[-1] < 200.0 and np.abs(tr.xi[-1]).max() > 5.0
+
+    def test_zero_gauge_run_reports_the_logit_cap(self):
+        """A zero-gauge run that passes the cap says so, like a pinned run."""
+        tr = integrate_flow_full(symmetric_quadratic(), np.array([0.3]), np.array([0.2, -0.4]),
+                                 KIND_MIN_MIN, FlowConfig(t_end=200.0, dt=0.01, xi_cap=5.0))
+        assert tr.status == STATUS_DIVERGED
+        assert tr.divergence_reason == "logit_cap"
+        assert tr.divergence_step == 370
+        assert tr.t[-1] == tr.divergence_step * 0.01
+        assert np.abs(tr.xi[-1]).max() > 5.0
+
+    def test_blowup_reports_its_reason_in_either_gauge(self):
+        """The pin_last run ends as `integrate_flow` does; the zero-gauge
+        logits grow with the losses, so there the cap fires first."""
+        cfg = FlowConfig(t_end=5.0, dt=0.01)
+        x0 = np.array([1.0])
+        pinned = integrate_flow(_CubicBlowup(), x0, SimplexPoint.uniform(2), KIND_MIN_MAX, cfg)
+        pin = integrate_flow_full(_CubicBlowup(), x0, np.zeros(2), KIND_MIN_MAX, cfg,
+                                  gauge="pin_last")
+        zero = integrate_flow_full(_CubicBlowup(), x0, np.zeros(2), KIND_MIN_MAX, cfg)
+        assert (pin.divergence_reason, pin.divergence_step) == ("non_finite_rates", 35)
+        assert (pinned.divergence_reason, pinned.divergence_step) == ("non_finite_rates", 35)
+        assert (zero.divergence_reason, zero.divergence_step) == ("logit_cap", 33)
+        assert pin.status == zero.status == STATUS_DIVERGED
 
     def test_rejects_bad_start_logits(self):
         fam = symmetric_quadratic()
@@ -347,11 +376,14 @@ class TestSingleEngine:
         for kind in (KIND_MIN_MAX, KIND_MIN_MIN):
             cfg = FlowConfig(t_end=2.0, dt=0.01, record_every=3)
             tr = integrate_flow(fam, x0, q0, kind, cfg)
-            t, xi, q = integrate_flow_full(
+            full = integrate_flow_full(
                 fam, x0, np.append(logits_from_point(q0), 0.0), kind, cfg, gauge="pin_last")
-            assert np.array_equal(t, tr.t)
-            assert np.array_equal(xi[:, :-1], tr.xi_bar) and np.all(xi[:, -1] == 0.0)
-            assert np.array_equal(q, tr.q)
+            assert np.all(full.xi[:, -1] == 0.0)
+            for name in ("t", "x", "xi", "xi_bar", "q", "objective", "objective_rate",
+                         "entropy", "entropy_rate"):
+                assert np.array_equal(getattr(full, name), getattr(tr, name)), name
+            for name in ("kind", "status", "divergence_reason", "divergence_step"):
+                assert getattr(full, name) == getattr(tr, name), name
 
     @pytest.mark.parametrize("cfg", [
         FlowConfig(t_end=0.5, dt=0.01),
@@ -365,8 +397,8 @@ class TestSingleEngine:
         steps = int(round(tr.t[-1] / cfg.dt))
         assert fam.values_calls == 4 * steps + 1
         fam.values_calls = 0
-        t, _, _ = integrate_flow_full(fam, np.array([0.3]), np.zeros(2), KIND_MIN_MIN, cfg)
-        assert fam.values_calls == 4 * int(round(t[-1] / cfg.dt)) + 1
+        tr = integrate_flow_full(fam, np.array([0.3]), np.zeros(2), KIND_MIN_MIN, cfg)
+        assert fam.values_calls == 4 * int(round(tr.t[-1] / cfg.dt)) + 1
 
 
 class TestPseudoRiemannianRewrite:
