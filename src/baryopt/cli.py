@@ -51,7 +51,7 @@ from .objectives import (
     outer_sum,
     symmetric_quadratic,
 )
-from .ppa import STATUS_CONVERGED, PpaConfig, run_ppa
+from .ppa import STATUS_CONVERGED, STATUS_INNER_FAILURE, PpaConfig, run_ppa
 from .prox import ProxConfig, prox
 from .simplex_geometry import SimplexPoint, logits_from_point
 
@@ -122,11 +122,7 @@ def _parse_init(doc, fam):
     node = _require_dict(doc["init"], "init")
     _check_keys(node, ("x", "q"), ("x", "q"), "init")
     x = _array(node, "x", "init")
-    q = SimplexPoint.from_probs(_array(node, "q", "init"))
-    if q.size != fam.S:
-        raise DimensionMismatchError(
-            f"init.q has {q.size} entries, problem has {fam.S} states"
-        )
+    q = fam.check_weights(SimplexPoint.from_probs(_array(node, "q", "init")))
     return fam.check_point(x), q
 
 
@@ -233,7 +229,7 @@ def _run_prox_eval(fam, doc, params, summary):
     try:
         res = prox(fam, x, q, cfg)
     except ProxNonConvergenceError as err:
-        summary.update(status="inner_failure", message=str(err))
+        summary.update(status=STATUS_INNER_FAILURE, message=str(err))
         return None, EXIT_NOT_CONVERGED
     summary.update(
         status="ok",

@@ -57,7 +57,10 @@ class ObjectiveFamily:
         return x
 
     def check_weights(self, q: SimplexPoint) -> SimplexPoint:
-        """Return q when it holds one weight per loss (DimensionMismatchError otherwise)."""
+        """Return q when it is a SimplexPoint holding one weight per loss
+        (InvalidDomainError for another type, DimensionMismatchError for another size)."""
+        if not isinstance(q, SimplexPoint):
+            raise InvalidDomainError("q must be a SimplexPoint")
         if q.size != self.S:
             raise DimensionMismatchError(f"q has {q.size} entries, family has {self.S}")
         return q

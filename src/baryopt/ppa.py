@@ -21,6 +21,11 @@ superlinear (Rockafellar 1976, Thm 2; Eckstein 1993 for Bregman distances);
 the cap keeps the inner tolerance above the prox line search's round-off
 floor.
 
+One prox call leaves each state z_k: its divergence D_f(prox(z_k), z_k) is
+both the fixed-point certificate of z_k (it vanishes exactly at fixed
+points) and the step D_{k+1} to the next state, so the iteration makes one
+call per state, the last one for the certificate only.
+
 Terminal statuses: "converged", "max_iter", "inner_failure" (the inner solver
 gave up; the trace up to the last good iterate is preserved).
 """
@@ -72,10 +77,12 @@ class PpaConfig:
     def __post_init__(self):
         if self.prox_cfg is None:
             object.__setattr__(self, "prox_cfg", ProxConfig())
+        if not isinstance(self.prox_cfg, ProxConfig):
+            raise ConfigError(f"prox_cfg must be a ProxConfig, got {self.prox_cfg!r}")
         positive_fields(self, ConfigError)
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class PpaRecord:
     """One recorded iterate: state, objective, and fixed-point certificates."""
 
@@ -109,13 +116,6 @@ class PpaTrace:
         return self.records[-1].point
 
 
-def _record(k, point, step, vals, barygrad):
-    """Record of `point` at iteration k from l(x) and J^T q there; its
-    displacement is filled in later."""
-    return PpaRecord(k, point.x, point.q, float(point.q.probs @ vals),
-                     *_certificates(vals, barygrad), math.nan, step)
-
-
 def run_ppa(fam: ObjectiveFamily, x0, q0: SimplexPoint, cfg: PpaConfig = None) -> PpaTrace:
     """Iterate the proximal map from (x0, q0) until convergence or a cap.
 
@@ -123,67 +123,58 @@ def run_ppa(fam: ObjectiveFamily, x0, q0: SimplexPoint, cfg: PpaConfig = None) -
     divergence shrinks by less than `_STALL_RATIO`, up to
     max(lam, `_LAM_CAP`) (see the module docstring).
 
-    Records state k = 0 and every `record_every`-th iterate plus the final
-    one; only those are kept.  `prox_displacement` at a recorded state is the
-    hybrid Bregman divergence to its own proximal image at the step then in
-    effect (for interior states this equals the next step's divergence; the
-    final record costs one extra prox call).
+    Each state k is recorded once, after the one prox call that leaves it:
+    that call's divergence D_f(prox(z_k), z_k) is state k's
+    `prox_displacement` and, as `step_bregman`, state k + 1's.  At the last
+    state (converged or at `max_outer_iter`) the call is made for the
+    displacement only; when the inner solver fails the displacement is NaN,
+    and the run ends `inner_failure` unless the state was already the last.
+    State 0, every `record_every`-th state and the last one are kept; the
+    drift flag is judged on every state.
     """
     if cfg is None:
         cfg = PpaConfig()
-    x0 = fam.check_point(x0)
     prox_cfg = cfg.prox_cfg
     lam_cap = max(prox_cfg.lam, _LAM_CAP)
-    state = HybridPoint(x0, fam.check_weights(q0))
-    current = _record(0, state, math.nan, fam.values(state.x),
-                      fam.jacobian(state.x).T @ state.q.probs)
-    records = [current]
+    state = HybridPoint(fam.check_point(x0), fam.check_weights(q0))
+    vals, barygrad = fam.values(state.x), fam.jacobian(state.x).T @ state.q.probs
 
+    records = []
     status = STATUS_MAX_ITER
-    iterations = 0
-    prev_step = math.nan
-    for k in range(1, cfg.max_outer_iter + 1):
-        iterations = k
+    step = prev_step = math.nan
+    # The drift flag needs the largest weight never to fall along the run.
+    max_q, drifting = -math.inf, True
+    for k in range(cfg.max_outer_iter + 1):
+        probs = state.q.probs
+        barygrad_norm, spread = _certificates(vals, barygrad)
+        prev_max_q, max_q = max_q, probs.max()
+        drifting = drifting and max_q - prev_max_q >= -1e-9
+        last = k == cfg.max_outer_iter
+        if step <= cfg.stop_tol and barygrad_norm <= cfg.fp_tol and spread <= cfg.fp_tol:
+            status, last = STATUS_CONVERGED, True
+        elif k >= 2 and step > _STALL_RATIO * prev_step and prox_cfg.lam < lam_cap:
+            prox_cfg = replace(prox_cfg, lam=min(_LAM_GROWTH * prox_cfg.lam, lam_cap))
         try:
             result = prox(fam, state.x, state.q, prox_cfg)
         except ProxNonConvergenceError:
-            status = STATUS_INNER_FAILURE
+            displacement = math.nan
+            if not last:
+                status, last = STATUS_INNER_FAILURE, True
+        else:
+            new_state = result.point
+            displacement = hybrid_bregman(new_state, state)
+        if last or k % cfg.record_every == 0:
+            records.append(PpaRecord(k, state.x, state.q, float(probs @ vals),
+                                     barygrad_norm, spread, displacement, step))
+        if last:
             break
-        new_state = result.point
-        step = hybrid_bregman(new_state, state)
-        current.prox_displacement = step
-        state = new_state
-        current = _record(k, state, step, result.values, result.barygrad)
-        if k % cfg.record_every == 0:
-            records.append(current)
-        if (step <= cfg.stop_tol and current.barygrad_norm <= cfg.fp_tol
-                and current.loss_spread <= cfg.fp_tol):
-            status = STATUS_CONVERGED
-            break
-        if k >= 2 and step > _STALL_RATIO * prev_step and prox_cfg.lam < lam_cap:
-            prox_cfg = replace(prox_cfg, lam=min(_LAM_GROWTH * prox_cfg.lam, lam_cap))
-        prev_step = step
+        state, vals, barygrad = new_state, result.values, result.barygrad
+        prev_step, step = step, displacement
 
-    if records[-1] is not current:
-        records.append(current)
-    # The final state's displacement needs one extra prox evaluation unless
-    # the inner solver already failed there.
-    if status != STATUS_INNER_FAILURE:
-        try:
-            extra = prox(fam, state.x, state.q, prox_cfg)
-            current.prox_displacement = hybrid_bregman(extra.point, state)
-        except ProxNonConvergenceError:
-            pass
-
-    no_fixed_point = False
-    if status != STATUS_CONVERGED and len(records) >= 2:
-        max_probs = np.array([r.q.probs.max() for r in records])
-        drifting = bool(np.all(np.diff(max_probs) >= -1e-9))
-        concentrated = max_probs[-1] >= 0.999
-        stuck_spread = records[-1].loss_spread > cfg.fp_tol
-        no_fixed_point = drifting and concentrated and stuck_spread
-
-    return PpaTrace(records, status, iterations, no_fixed_point, prox_cfg.lam)
+    no_fixed_point = (status != STATUS_CONVERGED and k >= 1 and drifting
+                      and max_q >= 0.999 and spread > cfg.fp_tol)
+    iterations = k + 1 if status == STATUS_INNER_FAILURE else k
+    return PpaTrace(records, status, iterations, bool(no_fixed_point), prox_cfg.lam)
 
 
 def fejer_diagnostic(trace: PpaTrace, anchor: HybridPoint) -> Array:

@@ -339,7 +339,7 @@ class TestConfigErrors:
     def test_init_dimension_mismatch(self, tmp_path, capsys):
         doc = _ppa_config()
         doc["init"] = {"x": [0.3], "q": [0.2, 0.3, 0.5]}
-        self._expect_failure(tmp_path, capsys, doc, "init.q has 3 entries")
+        self._expect_failure(tmp_path, capsys, doc, "q has 3 entries, family has 2")
 
     def test_missing_init(self, tmp_path, capsys):
         doc = _ppa_config()

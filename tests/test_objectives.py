@@ -314,6 +314,23 @@ def _mismatched_weights_calls():
     }
 
 
+def _plain_weights_calls():
+    """The entry points taking a family and weights, each called with the
+    weights (0.3, 0.7) as an array, a list or a tuple, not a SimplexPoint."""
+    fam = symmetric_quadratic()
+    x = np.array([0.3])
+    return {
+        "prox": lambda: prox(fam, x, np.array([0.3, 0.7])),
+        "run_ppa": lambda: run_ppa(fam, x, [0.3, 0.7]),
+        "integrate_flow": lambda: integrate_flow(fam, x, [0.3, 0.7], KIND_MIN_MAX),
+        "barygradient": lambda: barygradient(fam, x, (0.3, 0.7)),
+        "minimize_fixed_weights": lambda: minimize_fixed_weights(fam, x, [0.3, 0.7]),
+        "saddle_objective": lambda: saddle_objective(fam, x, [0.3, 0.7], x, [0.3, 0.7], 0.5),
+        "pseudo_riemannian_residual":
+            lambda: pseudo_riemannian_residual(fam, x, [0.3, 0.7], KIND_MIN_MAX),
+    }
+
+
 class TestWeightsContract:
     """Every entry point that takes a family and weights checks their size
     with `check_weights`, so a mismatch never reaches numpy."""
@@ -322,3 +339,8 @@ class TestWeightsContract:
     def test_mismatched_weights_are_one_documented_error(self, entry):
         with pytest.raises(DimensionMismatchError, match="q has 3 entries, family has 2"):
             _mismatched_weights_calls()[entry]()
+
+    @pytest.mark.parametrize("entry", sorted(_plain_weights_calls()))
+    def test_weights_that_are_not_a_simplex_point_are_rejected(self, entry):
+        with pytest.raises(InvalidDomainError, match="q must be a SimplexPoint"):
+            _plain_weights_calls()[entry]()

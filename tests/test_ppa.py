@@ -12,6 +12,7 @@ from baryopt.objectives import (
     ConstantFamily,
     ObjectiveFamily,
     QuadraticFamily,
+    random_quadratic,
     symmetric_quadratic,
 )
 from baryopt.ppa import (
@@ -121,6 +122,24 @@ class TestRecording:
         for prev, nxt in zip(tr.records[:-1], tr.records[1:]):
             assert prev.prox_displacement == nxt.step_bregman
 
+    def test_records_are_frozen(self):
+        tr = run_ppa(symmetric_quadratic(), np.array([0.3]), SimplexPoint.from_probs([0.3, 0.7]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tr.records[0].prox_displacement = 0.0
+
+    def test_sparse_max_iter_run_keeps_the_last_displacement(self):
+        """The last state's displacement comes from one more prox call at the
+        step in effect at the end of the run."""
+        fam = symmetric_quadratic()
+        tr = run_ppa(fam, np.array([0.3]), SimplexPoint.from_probs([0.3, 0.7]),
+                     PpaConfig(max_outer_iter=12, record_every=5))
+        assert tr.status == STATUS_MAX_ITER and tr.iterations == 12
+        assert [r.k for r in tr.records] == [0, 5, 10, 12]
+        last = tr.records[-1]
+        assert math.isfinite(last.prox_displacement)
+        image = prox(fam, last.x, last.q, ProxConfig(lam=tr.final_lam)).point
+        assert last.prox_displacement == hybrid_bregman(image, tr.final)
+
     def test_trace_repr_is_one_line_and_eq_is_identity(self):
         args = (symmetric_quadratic(), np.array([0.3]), SimplexPoint.from_probs([0.3, 0.7]))
         tr, again = run_ppa(*args), run_ppa(*args)
@@ -176,6 +195,51 @@ class TestSingleEvaluation:
             assert rec.objective == float(probs @ vals)
             assert rec.barygrad_norm == float(np.linalg.norm(fam.jacobian(rec.x).T @ probs))
             assert rec.loss_spread == float(vals.max() - vals.min())
+
+
+class TestOneProxPerState:
+    """Each state is left by one prox call: it gives the state its
+    displacement and, unless the state is the last, gives the next state."""
+
+    @staticmethod
+    def _count_prox(monkeypatch):
+        calls = []
+
+        def counted_prox(*args, **kwargs):
+            calls.append(1)
+            return prox(*args, **kwargs)
+
+        monkeypatch.setattr(ppa, "prox", counted_prox)
+        return calls
+
+    @pytest.mark.parametrize("max_outer_iter, status, n_calls", [
+        (5000, STATUS_CONVERGED, 47), (12, STATUS_MAX_ITER, 13),
+    ])
+    def test_one_call_per_state(self, monkeypatch, max_outer_iter, status, n_calls):
+        calls = self._count_prox(monkeypatch)
+        tr = run_ppa(symmetric_quadratic(), np.array([0.3]),
+                     SimplexPoint.from_probs([0.3, 0.7]),
+                     PpaConfig(max_outer_iter=max_outer_iter))
+        assert tr.status == status
+        assert len(calls) == tr.iterations + 1 == n_calls
+
+    def test_failed_call_is_the_last(self, monkeypatch):
+        calls = self._count_prox(monkeypatch)
+        cfg = PpaConfig(prox_cfg=ProxConfig(lam=2.0, allow_newton=False, inner_max_iter=2))
+        tr = run_ppa(symmetric_quadratic(), np.array([3.0]), SimplexPoint.uniform(2), cfg)
+        assert tr.status == STATUS_INNER_FAILURE
+        assert len(calls) == tr.iterations == 1
+
+    def test_late_inner_failure_keeps_the_trace_to_the_last_good_state(self):
+        fam, _, _, x0, q0 = _known_saddle(2, 2, 3)
+        cfg = PpaConfig(prox_cfg=ProxConfig(allow_newton=False, inner_max_iter=30))
+        tr = run_ppa(fam, x0, q0, cfg)
+        assert tr.status == STATUS_INNER_FAILURE and tr.iterations == 18
+        assert [r.k for r in tr.records] == list(range(18))
+        assert math.isnan(tr.records[-1].prox_displacement)
+        for prev, nxt in zip(tr.records[:-1], tr.records[1:]):
+            assert math.isfinite(prev.prox_displacement)
+            assert prev.prox_displacement == nxt.step_bregman
 
 
 class TestFejerMonotonicity:
@@ -235,6 +299,20 @@ class TestNoFixedPointDrift:
         assert tr.final.q.probs.max() >= 0.999
         assert tr.records[-1].loss_spread == 1.0
 
+    def test_flag_does_not_depend_on_record_every(self):
+        """The flag is judged on every state, not on the kept records: on
+        this run max q dips once early, which only dense records see."""
+        rng = np.random.default_rng(9)
+        fam = random_quadratic(rng, m=2, S=3)
+        x0 = rng.uniform(-1, 1, 2)
+        q0 = SimplexPoint.from_probs(rng.dirichlet([2, 2, 2]))
+        flags = {
+            every: run_ppa(fam, x0, q0, PpaConfig(max_outer_iter=50, record_every=every))
+            .no_fixed_point_suspected
+            for every in (1, 10, 50)
+        }
+        assert flags == {1: False, 10: False, 50: False}
+
     def test_converged_runs_are_not_flagged(self):
         tr = run_ppa(
             symmetric_quadratic(),
@@ -267,6 +345,10 @@ class TestConfigValidation:
             PpaConfig(max_outer_iter=0)
         with pytest.raises(ValueError):
             PpaConfig(record_every=0)
+
+    def test_rejects_a_prox_cfg_that_is_not_a_prox_config(self):
+        with pytest.raises(ConfigError, match="prox_cfg must be a ProxConfig"):
+            PpaConfig(prox_cfg={"lam": 1.0})
 
     def test_configs_are_frozen_and_derived_configs_revalidated(self):
         cfg = PpaConfig()
