@@ -50,6 +50,7 @@ _MAX_HALVINGS = 60
 # line search stalls once |phi| * eps exceeds the per-step decrease, well
 # before tight gradient tolerances are reached.
 _ROUNDOFF_SLACK = 1e-15
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -86,7 +87,7 @@ class ProxResult:
         return HybridPoint(self.x, self.q)
 
 
-def _descend(evaluate, hess, z0, cfg: ProxConfig):
+def _descend(evaluate, hess, z0, cfg: ProxConfig, floor=None):
     """Armijo descent to ||grad|| <= cfg.inner_tol / max(1, cfg.lam).
 
     evaluate(z) -> (value, grad, ev), where ev carries what the caller
@@ -96,6 +97,18 @@ def _descend(evaluate, hess, z0, cfg: ProxConfig):
     The Newton matrix at z reuses the evaluation that accepted z, so no point
     is evaluated twice.  Returns (z, ev, steps); raises ProxNonConvergenceError
     with the best iterate attached after `cfg.inner_max_iter` steps.
+
+    Two rules keep round-off from turning into failures:
+
+    (a) A Newton step tried at t = 1 is also accepted when ||grad|| at least
+        halves.  Inside Newton's quadratic region the gradient norm is the
+        merit function that still resolves progress (Boyd & Vandenberghe
+        2004, Sec. 9.5.3): the value's rounding error can exceed the Armijo
+        decrease there, and at small lam it does so by orders of magnitude.
+    (b) floor(ev), when given, is the round-off floor of the computed
+        gradient at the evaluated point; the descent also stops once
+        ||grad|| falls to it, since below it the gradient is rounding noise
+        and no step can reduce it further.
     """
     tol = cfg.inner_tol / max(1.0, cfg.lam)
     hess = hess if cfg.allow_newton else None
@@ -104,7 +117,7 @@ def _descend(evaluate, hess, z0, cfg: ProxConfig):
     steps = 0
     while True:
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= tol:
+        if grad_norm <= tol or (floor is not None and grad_norm <= floor(ev)):
             return z, ev, steps
         if steps >= cfg.inner_max_iter:
             raise ProxNonConvergenceError(
@@ -114,7 +127,7 @@ def _descend(evaluate, hess, z0, cfg: ProxConfig):
                 grad_norm=grad_norm,
                 iterations=steps,
             )
-        direction = None
+        direction, newton = None, False
         step0 = cfg.lam
         if hess is not None:
             H = hess(z, ev)
@@ -124,7 +137,7 @@ def _descend(evaluate, hess, z0, cfg: ProxConfig):
                 try:
                     candidate = -np.linalg.solve(H, grad)
                     if candidate @ grad < 0:
-                        direction = candidate
+                        direction, newton = candidate, True
                         step0 = 1.0
                 except np.linalg.LinAlgError:
                     pass
@@ -137,6 +150,8 @@ def _descend(evaluate, hess, z0, cfg: ProxConfig):
             z_new = z + t * direction
             value_new, grad_new, ev_new = evaluate(z_new)
             if value_new <= value + _ARMIJO_SLOPE * t * slope + slack:
+                break
+            if newton and t == 1.0 and np.linalg.norm(grad_new) <= 0.5 * grad_norm:
                 break
             t *= _ARMIJO_SHRINK
         else:
@@ -154,9 +169,14 @@ def prox(fam: ObjectiveFamily, x, q: SimplexPoint, cfg: ProxConfig = None) -> Pr
     """Proximal step: the saddle point (x', q') of H at (x, q).
 
     Descends the reduced objective phi from z = x until
-    ||grad phi(z)|| * max(1, lam) <= inner_tol, then recovers
-    q' proportional to q * exp(lam * l(x')) in log space.  The returned
-    residuals are the stationarity defects of the two blocks.
+    ||grad phi(z)|| * max(1, lam) <= inner_tol, or until ||grad phi(z)||
+    reaches the round-off floor of its own evaluation (`_roundoff_floor`),
+    then recovers q' proportional to q * exp(lam * l(x')) in log space.  A
+    Newton step is accepted on an Armijo decrease of phi or on a halving of
+    ||grad phi|| (see `_descend`).  The returned residuals are the
+    stationarity defects of the two blocks; the x-block one is
+    lam ||grad phi(x')||, so it stays within inner_tol except where the floor
+    stops the descent first, which happens at large lam.
 
     Each point is evaluated once: the loss values, Jacobian and weights that
     the line search computed at an accepted point also build the Newton
@@ -188,8 +208,12 @@ def prox(fam: ObjectiveFamily, x, q: SimplexPoint, cfg: ProxConfig = None) -> Pr
         spread = (jac.T * r) @ jac - np.outer(mean_grad, mean_grad)
         return curvature + lam * spread + np.eye(fam.m) / lam
 
+    def floor(ev):
+        vals, jac, _, _ = ev
+        return _roundoff_floor(lam, vals, jac)
+
     try:
-        z, ev, steps = _descend(evaluate, hess, x, cfg)
+        z, ev, steps = _descend(evaluate, hess, x, cfg, floor)
     except ProxNonConvergenceError as err:
         if err.x is not None and err.q is None:
             err.q = SimplexPoint(lq + lam * fam.values(err.x))
@@ -202,6 +226,28 @@ def prox(fam: ObjectiveFamily, x, q: SimplexPoint, cfg: ProxConfig = None) -> Pr
     gauge = q_out.log_weights - lam * vals - lq
     r_q = 0.5 * float(gauge.max() - gauge.min())
     return ProxResult(z, q_out, steps, (r_x, r_q), vals, barygrad)
+
+
+def _roundoff_floor(lam: float, vals: Array, jac: Array) -> float:
+    """Round-off floor of the computed grad phi = J^T r + (z - x) / lam.
+
+    With g = max|J|, L = max|l| and m the dimension of x, the floor is
+
+        m eps g (1 + lam g (1 + L)),
+
+    a first-order forward-error bound in which every length-m sum carries
+    the dot-product error gamma_m ~ m eps (Higham 2002, Sec. 3.1).  The sums
+    that form J and J^T r contribute about m eps g.  Each loss carries an
+    absolute error of m eps g (1 + L): the terms of a loss can be of the
+    size of its gradient when they cancel to a small value, as at a saddle
+    whose losses vanish.  The weights r = softmax(log q + lam l) inherit lam times that
+    error, and J^T (diag r - r r^T) carries it into the gradient with a factor
+    of at most g.  On known-saddle quadratics up to (m, S) = (200, 16) and
+    lam up to 1e4, Newton's gradient norm levelled off below
+    0.16 m eps lam g^2, under a sixth of the floor.
+    """
+    g = float(np.abs(jac).max())
+    return jac.shape[1] * _EPS * g * (1.0 + lam * g * (1.0 + float(np.abs(vals).max())))
 
 
 def saddle_objective(fam: ObjectiveFamily, x, q: SimplexPoint, z, r: SimplexPoint, lam: float) -> float:

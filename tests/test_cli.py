@@ -54,10 +54,10 @@ class TestPpaRun:
 
         summary = json.loads((tmp_path / "out" / "config.summary.json").read_text())
         assert summary["status"] == "converged"
-        assert summary["iterations"] == 46
+        assert summary["iterations"] == 10
         assert summary["problem"] == "symmetric_quadratic"
         assert summary["no_fixed_point_suspected"] is False
-        assert summary["final_lam"] == 0.5
+        assert summary["final_lam"] == 128.0
         np.testing.assert_allclose(summary["x"], [0.0], atol=5e-6)
 
     def test_byte_identical_reruns(self, tmp_path):

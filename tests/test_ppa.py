@@ -8,6 +8,7 @@ import pytest
 
 from baryopt import ppa
 from baryopt.errors import ConfigError
+from baryopt.landscape import LandscapePoint, riemannian_hessian
 from baryopt.objectives import (
     ConstantFamily,
     ObjectiveFamily,
@@ -56,7 +57,7 @@ class TestConvergence:
             SimplexPoint.from_probs([0.3, 0.7]),
         )
         assert tr.status == STATUS_CONVERGED
-        assert tr.iterations == 46
+        assert tr.iterations == 10
         assert not tr.no_fixed_point_suspected
         np.testing.assert_allclose(tr.final.x, 0.0, atol=5e-6)
         np.testing.assert_allclose(tr.final.q.probs, 0.5, atol=5e-6)
@@ -106,10 +107,10 @@ class TestRecording:
             symmetric_quadratic(),
             np.array([0.3]),
             SimplexPoint.from_probs([0.3, 0.7]),
-            PpaConfig(record_every=7),
+            PpaConfig(record_every=3),
         )
         ks = [r.k for r in tr.records]
-        assert ks == [0, 7, 14, 21, 28, 35, 42, 46]
+        assert ks == [0, 3, 6, 9, 10]
 
     def test_displacement_links_consecutive_records(self):
         """With dense recording, a record's prox displacement is exactly the
@@ -132,9 +133,10 @@ class TestRecording:
         step in effect at the end of the run."""
         fam = symmetric_quadratic()
         tr = run_ppa(fam, np.array([0.3]), SimplexPoint.from_probs([0.3, 0.7]),
-                     PpaConfig(max_outer_iter=12, record_every=5))
-        assert tr.status == STATUS_MAX_ITER and tr.iterations == 12
-        assert [r.k for r in tr.records] == [0, 5, 10, 12]
+                     PpaConfig(max_outer_iter=8, record_every=3))
+        assert tr.status == STATUS_MAX_ITER and tr.iterations == 8
+        assert [r.k for r in tr.records] == [0, 3, 6, 8]
+        assert tr.final_lam == 64.0
         last = tr.records[-1]
         assert math.isfinite(last.prox_displacement)
         image = prox(fam, last.x, last.q, ProxConfig(lam=tr.final_lam)).point
@@ -213,7 +215,7 @@ class TestOneProxPerState:
         return calls
 
     @pytest.mark.parametrize("max_outer_iter, status, n_calls", [
-        (5000, STATUS_CONVERGED, 47), (12, STATUS_MAX_ITER, 13),
+        (5000, STATUS_CONVERGED, 11), (5, STATUS_MAX_ITER, 6),
     ])
     def test_one_call_per_state(self, monkeypatch, max_outer_iter, status, n_calls):
         calls = self._count_prox(monkeypatch)
@@ -234,8 +236,8 @@ class TestOneProxPerState:
         fam, _, _, x0, q0 = _known_saddle(2, 2, 3)
         cfg = PpaConfig(prox_cfg=ProxConfig(allow_newton=False, inner_max_iter=30))
         tr = run_ppa(fam, x0, q0, cfg)
-        assert tr.status == STATUS_INNER_FAILURE and tr.iterations == 18
-        assert [r.k for r in tr.records] == list(range(18))
+        assert tr.status == STATUS_INNER_FAILURE and tr.iterations == 3
+        assert [r.k for r in tr.records] == [0, 1, 2]
         assert math.isnan(tr.records[-1].prox_displacement)
         for prev, nxt in zip(tr.records[:-1], tr.records[1:]):
             assert math.isfinite(prev.prox_displacement)
@@ -257,10 +259,10 @@ class TestFejerMonotonicity:
 
 
 class TestStepGrowth:
-    """The outer step doubles while the step divergence contracts slowly.
+    """The outer step doubles after every step k >= 2, up to its cap.
 
-    With the fixed default step 0.5 this family still sits 0.1 from its
-    saddle after 5,000 iterations."""
+    With the fixed default step 0.5 the seed-27 family still sits 0.1 from
+    its saddle after 5,000 iterations."""
 
     def test_slow_family_converges_to_its_saddle(self):
         fam, x_star, q_star, x0, q0 = _known_saddle(27, 3, 4)
@@ -283,6 +285,49 @@ class TestStepGrowth:
             assert hybrid_bregman(anchor, nxt.point) <= (
                 hybrid_bregman(anchor, prev.point) - nxt.step_bregman + 1e-10
             )
+
+    def test_fejer_monotone_at_the_cap(self):
+        """The seed-20 (3,4) family reaches the cap; the step still obeys
+        the Fejer inequality and the run ends at its saddle."""
+        fam, x_star, q_star, x0, q0 = _known_saddle(20, 3, 4)
+        tr = run_ppa(fam, x0, q0)
+        assert tr.status == STATUS_CONVERGED and tr.iterations <= 100
+        assert tr.final_lam == ppa._LAM_CAP
+        np.testing.assert_allclose(tr.final.x, x_star, atol=1e-3)
+        np.testing.assert_allclose(tr.final.q.probs, q_star, atol=1e-3)
+        anchor = HybridPoint(x_star, SimplexPoint.from_probs(q_star))
+        for prev, nxt in zip(tr.records[:-1], tr.records[1:]):
+            assert hybrid_bregman(anchor, nxt.point) <= (
+                hybrid_bregman(anchor, prev.point) - nxt.step_bregman + 1e-10
+            )
+
+    @pytest.mark.parametrize("m, S", [(2, 3), (3, 4)])
+    def test_small_families_converge_to_their_saddles(self, m, S):
+        """Every endpoint lies at its family's saddle and classifies as one."""
+        for seed in range(20):
+            fam, x_star, q_star, x0, q0 = _known_saddle(seed, m, S)
+            tr = run_ppa(fam, x0, q0)
+            assert tr.status == STATUS_CONVERGED, seed
+            np.testing.assert_allclose(tr.final.x, x_star, atol=1e-3)
+            np.testing.assert_allclose(tr.final.q.probs, q_star, atol=1e-3)
+            report = riemannian_hessian(fam, LandscapePoint.from_hybrid(tr.final))
+            assert report.classification == "saddle", seed
+
+    @pytest.mark.parametrize("seed, m, S", [(9, 2, 3), (23, 3, 4)])
+    def test_tight_certificates_converge(self, seed, m, S):
+        """fp_tol = 1e-9 asks the solves for gradients near their round-off."""
+        fam, x_star, q_star, x0, q0 = _known_saddle(seed, m, S)
+        tr = run_ppa(fam, x0, q0, PpaConfig(fp_tol=1e-9))
+        assert tr.status == STATUS_CONVERGED
+        np.testing.assert_allclose(tr.final.x, x_star, atol=1e-5)
+        np.testing.assert_allclose(tr.final.q.probs, q_star, atol=1e-5)
+
+    def test_large_family_converges_on_a_small_inner_budget(self):
+        fam, x_star, q_star, x0, q0 = _known_saddle(0, 200, 16)
+        tr = run_ppa(fam, x0, q0, PpaConfig(prox_cfg=ProxConfig(inner_max_iter=300)))
+        assert tr.status == STATUS_CONVERGED
+        np.testing.assert_allclose(tr.final.x, x_star, atol=1e-3)
+        np.testing.assert_allclose(tr.final.q.probs, q_star, atol=1e-3)
 
 
 class TestNoFixedPointDrift:

@@ -21,11 +21,13 @@ from baryopt.errors import (
 from baryopt.objectives import (
     ConstantFamily,
     ObjectiveFamily,
+    QuadraticFamily,
     random_quadratic,
     symmetric_quadratic,
 )
 from baryopt.prox import (
     ProxConfig,
+    _roundoff_floor,
     bfne_gap,
     fixed_point_residual,
     minimize_fixed_weights,
@@ -52,6 +54,21 @@ def _oracle_symmetric(x, q1, lam):
         return z + (w - 1.0) / (w + 1.0) + (z - x) / lam
 
     return brentq(g, -50.0, 50.0, xtol=1e-15, rtol=8.9e-16)
+
+
+def _known_saddle(seed, m, S):
+    """Quadratic family whose losses all vanish at x* with sum_s q*_s g_s = 0,
+    so (x*, q*) is a fixed point of the proximal map at every step."""
+    rng = np.random.default_rng(seed)
+    x_star = rng.uniform(-1.0, 1.0, size=m)
+    q_star = rng.dirichlet(np.full(S, 4.0))
+    G = rng.normal(size=(S, m, m))
+    A = np.einsum("sij,skj->sik", G, G) / m + 0.1 * np.eye(m)
+    g = rng.normal(size=(S, m))
+    g -= q_star @ g
+    b = g - np.einsum("sij,j->si", A, x_star)
+    c = -(0.5 * np.einsum("i,sij,j->s", x_star, A, x_star) + b @ x_star)
+    return QuadraticFamily(A, b, c), x_star, q_star
 
 
 def _random_hybrid(rng, m, S):
@@ -122,6 +139,44 @@ class TestProxAgainstOracle:
         expected = log_softmax(q.log_weights + 2.0 * fam.c)
         np.testing.assert_allclose(res.q.log_weights, expected, atol=1e-12)
         assert res.inner_iterations == 0
+
+
+class TestRoundoff:
+    """Round-off must not fail a solve: Newton steps are also accepted when
+    the gradient norm halves, and the descent stops at the round-off floor
+    of the computed gradient."""
+
+    def test_large_step_near_a_saddle_meets_its_certificates(self):
+        """At lam = 500 the stop tolerance inner_tol / lam lies below the
+        gradient's round-off; the solve stops at the floor instead, and
+        the x-block residual is lam times the gradient norm there."""
+        noise = np.random.default_rng(0)
+        cfg = ProxConfig(lam=500.0)
+        for seed in range(10):
+            fam, x_star, q_star = _known_saddle(seed, 50, 8)
+            x = x_star + 1e-6 * noise.normal(size=50)
+            q = SimplexPoint(np.log(q_star) + 1e-6 * noise.normal(size=8))
+            res = prox(fam, x, q, cfg)
+            r_x, r_q = res.residual
+            floor = _roundoff_floor(cfg.lam, res.values, fam.jacobian(res.x))
+            assert r_x <= max(cfg.inner_tol, 1.01 * cfg.lam * floor)
+            assert r_q <= 1e-14
+            np.testing.assert_allclose(res.x, x_star, atol=1e-5)
+            np.testing.assert_allclose(res.q.probs, q_star, atol=1e-5)
+
+    @pytest.mark.parametrize("lam", [0.001, 0.005])
+    def test_small_steps_converge_from_every_start(self, lam):
+        """phi's value carries |log q| / lam of rounding, which masks the
+        Armijo decrease of a Newton step at small lam."""
+        fam = random_quadratic(np.random.default_rng(3), m=2, S=3)
+        q = SimplexPoint.from_probs([0.2, 0.5, 0.3])
+        cfg = ProxConfig(lam=lam, inner_max_iter=300)
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            res = prox(fam, rng.normal(size=2), q, cfg)
+            r_x, r_q = res.residual
+            assert r_x <= cfg.inner_tol
+            assert r_q <= 1e-14
 
 
 class TestSaddleStructure:
