@@ -39,11 +39,12 @@ diverge toward a vertex of the simplex.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, InvalidDomainError, positive_fields
-from .objectives import ObjectiveFamily
+from .objectives import ObjectiveFamily, _finite_values_jacobian
 from .simplex_geometry import (
     SimplexPoint,
     _log_softmax,
@@ -94,16 +95,20 @@ class FlowConfig:
         return int(round(self.t_end / self.dt))
 
 
-def _field(fam: ObjectiveFamily, x: Array, xi: Array, sign: float, pin: bool):
+def _field(evaluate, x: Array, xi: Array, sign: float, pin: bool):
     """Right-hand side at (x, xi) for the full logit vector xi in R^S.
 
-    Returns (dx, dxi, sigma, log_sigma, vals): the velocities, q = softargmax(xi),
-    log q and the losses l(x).  No validation: callers pass checked arrays.
+    `evaluate(x)` returns the losses and their Jacobian: the family's
+    `_values_jacobian` in the integrators, which judge divergence themselves,
+    and `_finite_values_jacobian` at the single-point entry points.  Returns
+    (dx, dxi, sigma, log_sigma, vals): the velocities, q = softargmax(xi),
+    log q and the losses l(x).  No validation of x or xi: callers pass
+    checked arrays.
     """
     log_sigma = _log_softmax(xi)
     sigma = np.exp(log_sigma)
-    vals = fam.values(x)
-    dx = -(fam.jacobian(x).T @ sigma)
+    vals, jac = evaluate(x)
+    dx = -(jac.T @ sigma)
     dxi = sign * (vals - vals[-1] if pin else vals)
     return dx, dxi, sigma, log_sigma, vals
 
@@ -118,11 +123,14 @@ def _rates(sign: float, xi: Array, k1):
 
 
 def _pinned(fam: ObjectiveFamily, x: Array, xi_bar: Array, kind: str):
-    """Validate a pinned-chart state; return (sign, (xi_bar, 0), k1 there)."""
+    """Validate a pinned-chart state; return (sign, (xi_bar, 0), k1 there).
+
+    Loss values that are not finite are an InvalidDomainError.
+    """
     sign = _sign(kind)
     x = fam.check_point(x)
     xi = np.append(fam.check_logits(xi_bar), 0.0)
-    return sign, xi, _field(fam, x, xi, sign, True)
+    return sign, xi, _field(partial(_finite_values_jacobian, fam), x, xi, sign, True)
 
 
 def flow_vector_field(fam: ObjectiveFamily, x: Array, xi_bar: Array, kind: str):
@@ -183,12 +191,12 @@ class FlowTrace:
         return self.xi_bar[-1]
 
 
-def _rk4_step(fam, x, xi, dt, sign, pin):
+def _rk4_step(evaluate, x, xi, dt, sign, pin):
     """One classical RK4 step; returns the new state and the first stage k1."""
-    k1 = _field(fam, x, xi, sign, pin)
-    k2x, k2s, *_ = _field(fam, x + 0.5 * dt * k1[0], xi + 0.5 * dt * k1[1], sign, pin)
-    k3x, k3s, *_ = _field(fam, x + 0.5 * dt * k2x, xi + 0.5 * dt * k2s, sign, pin)
-    k4x, k4s, *_ = _field(fam, x + dt * k3x, xi + dt * k3s, sign, pin)
+    k1 = _field(evaluate, x, xi, sign, pin)
+    k2x, k2s, *_ = _field(evaluate, x + 0.5 * dt * k1[0], xi + 0.5 * dt * k1[1], sign, pin)
+    k3x, k3s, *_ = _field(evaluate, x + 0.5 * dt * k2x, xi + 0.5 * dt * k2s, sign, pin)
+    k4x, k4s, *_ = _field(evaluate, x + dt * k3x, xi + dt * k3s, sign, pin)
     new_x = x + (dt / 6.0) * (k1[0] + 2.0 * k2x + 2.0 * k3x + k4x)
     new_xi = xi + (dt / 6.0) * (k1[1] + 2.0 * k2s + 2.0 * k3s + k4s)
     return new_x, new_xi, k1
@@ -197,6 +205,7 @@ def _rk4_step(fam, x, xi, dt, sign, pin):
 def _integrate(fam, x, xi, kind, pin, cfg) -> FlowTrace:
     """The RK4 loop over checked start arrays; returns the recorded trace."""
     sign = _sign(kind)
+    evaluate = fam._values_jacobian
     n_steps, every, dt = cfg.n_steps, cfg.record_every, cfg.dt
     size = n_steps // every + 2
     t = np.empty(size)
@@ -215,7 +224,7 @@ def _integrate(fam, x, xi, kind, pin, cfg) -> FlowTrace:
                 # (finite-time blow-up), in which case the stage evaluations
                 # themselves trip the domain validators.
                 try:
-                    new_x, new_xi, k1 = _rk4_step(fam, x, xi, dt, sign, pin)
+                    new_x, new_xi, k1 = _rk4_step(evaluate, x, xi, dt, sign, pin)
                     stop = not (np.all(np.isfinite(new_x)) and np.all(np.isfinite(new_xi)))
                 except InvalidDomainError:
                     stop = True
@@ -223,7 +232,7 @@ def _integrate(fam, x, xi, kind, pin, cfg) -> FlowTrace:
                     reason, step = "non_finite_step", k + 1
             if stop or k % every == 0:
                 if k1 is None:
-                    k1 = _field(fam, x, xi, sign, pin)
+                    k1 = _field(evaluate, x, xi, sign, pin)
                 t[n], xs[n], xis[n], qs[n] = k * dt, x, xi, k1[2]
                 rec[:, n] = _rates(sign, xi, k1)
                 if not np.all(np.isfinite(rec[:, n])):
@@ -298,7 +307,8 @@ def pseudo_riemannian_residual(fam: ObjectiveFamily, x: Array, q: SimplexPoint, 
     """
     sgn = _sign(kind)
     x = fam.check_point(x)
-    _, field_a, *_, vals = _field(fam, x, fam.check_weights(q).log_weights, sgn, True)
+    xi = fam.check_weights(q).log_weights
+    _, field_a, *_, vals = _field(partial(_finite_values_jacobian, fam), x, xi, sgn, True)
     cov = covariance(q)
 
     eigvals, eigvecs = np.linalg.eigh(cov)

@@ -36,7 +36,7 @@ from .errors import (
     HessiansUnavailableError,
     positive_number,
 )
-from .objectives import ObjectiveFamily, _finite_values
+from .objectives import ObjectiveFamily, _finite, _finite_values_jacobian
 from .prox import ProxConfig, prox
 from .simplex_geometry import (
     HybridPoint,
@@ -86,16 +86,16 @@ def f_bar(fam: ObjectiveFamily, point: LandscapePoint) -> float:
     """Objective sigma(xi)^T l(x) in the reduced chart."""
     x = fam.check_point(point.x)
     xb = fam.check_logits(point.xi_bar)
-    return float(sigma_pinned(xb) @ _finite_values(fam, x))
+    return float(sigma_pinned(xb) @ _finite(fam.values(x)))
 
 
 def _evaluate(fam: ObjectiveFamily, point: LandscapePoint):
     """Checked x, pinned probabilities, finite losses, Jacobian and Fisher information."""
     x = fam.check_point(point.x)
     xb = fam.check_logits(point.xi_bar)
-    vals = _finite_values(fam, x)
+    vals, jac = _finite_values_jacobian(fam, x)
     fim, _ = fisher_information(xb)
-    return x, sigma_pinned(xb), vals, fam.jacobian(x), fim
+    return x, sigma_pinned(xb), vals, jac, fim
 
 
 def _gradient(sigma, vals, jac, fim) -> Array:

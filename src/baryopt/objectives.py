@@ -5,9 +5,19 @@ returns the S loss values, `jacobian` the S x m matrix of gradients (one row
 per loss), `hessians` an (S, m, m) stack or None when second derivatives
 are unavailable, and `weighted_hessian` the contraction sum_s r_s H_s that
 Newton steps need (built on `hessians` by default; families that can
-contract without building the stack override it).  Tensorization combines
-two families on the same R^m into the outer-sum family
-[l1 (+) l2]_{jk} = l1_j + l2_k, flattened row-major (index (j, k) ->
+contract without building the stack override it).
+
+The solvers, flows and landscape functions take values and Jacobian at a
+point from one call to the private `_values_jacobian`, which
+`QuadraticFamily` and outer sums compute in one pass over their
+coefficients; a subclass that overrides `values` or `jacobian` is evaluated
+through its own methods.  The solvers, the pinned flow functions and the
+landscape functions check the loss values they evaluate with `_finite`
+(InvalidDomainError "family returned non-finite loss values"); the flow
+integrators instead end a run that leaves float range as diverged.
+
+Tensorization combines two families on the same R^m into the outer-sum
+family [l1 (+) l2]_{jk} = l1_j + l2_k, flattened row-major (index (j, k) ->
 j * S2 + k), with the matching outer product of weights.
 """
 
@@ -27,6 +37,14 @@ class ObjectiveFamily:
     m: int
     S: int
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # A fused kernel inherited past an override of `values` or
+        # `jacobian` would bypass that override.
+        own = vars(cls)
+        if "_values_jacobian" not in own and ("values" in own or "jacobian" in own):
+            cls._values_jacobian = ObjectiveFamily._values_jacobian
+
     def values(self, x) -> Array:
         """Vector of the S loss values at x."""
         raise NotImplementedError
@@ -34,6 +52,10 @@ class ObjectiveFamily:
     def jacobian(self, x) -> Array:
         """S x m matrix whose rows are the loss gradients at x."""
         raise NotImplementedError
+
+    def _values_jacobian(self, x):
+        """(values(x), jacobian(x)); families that share work between the two override it."""
+        return self.values(x), self.jacobian(x)
 
     def hessians(self, x):
         """(S, m, m) stack of loss Hessians, or None when unavailable."""
@@ -75,12 +97,17 @@ class ObjectiveFamily:
         return xi_bar
 
 
-def _finite_values(fam: ObjectiveFamily, x) -> Array:
-    """`fam.values(x)` when every loss value is finite (InvalidDomainError otherwise)."""
-    vals = fam.values(x)
+def _finite(vals: Array) -> Array:
+    """`vals` when every loss value is finite (InvalidDomainError otherwise)."""
     if not np.all(np.isfinite(vals)):
         raise InvalidDomainError("family returned non-finite loss values")
     return vals
+
+
+def _finite_values_jacobian(fam: ObjectiveFamily, x):
+    """(values, jacobian) at x from one fused evaluation, the values checked by `_finite`."""
+    vals, jac = fam._values_jacobian(x)
+    return _finite(vals), jac
 
 
 class QuadraticFamily(ObjectiveFamily):
@@ -110,8 +137,9 @@ class QuadraticFamily(ObjectiveFamily):
         self.A, self.b, self.c = A, b, c
         self.S, self.m = S, m
 
-    # Both kernels reduce through the batched matrix-vector product A @ x
-    # (BLAS), which is faster and more accurate than a three-operand einsum.
+    # The kernels reduce through the batched matrix-vector product A @ x
+    # (BLAS), which is faster and more accurate than a three-operand einsum;
+    # the fused one reads A once for both results, with the same grouping.
     # The values are grouped as 0.5 * x^T (A x) + b^T x + c, which rounds
     # like the textbook form at m = 1; (0.5 A x + b)^T x does not.
     def values(self, x):
@@ -121,6 +149,11 @@ class QuadraticFamily(ObjectiveFamily):
     def jacobian(self, x):
         x = self.check_point(x)
         return self.A @ x + self.b
+
+    def _values_jacobian(self, x):
+        x = self.check_point(x)
+        ax = self.A @ x
+        return 0.5 * (ax @ x) + self.b @ x + self.c, ax + self.b
 
     def hessians(self, x):
         self.check_point(x)
@@ -170,8 +203,14 @@ class OuterSumFamily(ObjectiveFamily):
         return np.add.outer(self.first.values(x), self.second.values(x)).ravel()
 
     def jacobian(self, x):
-        j1 = self.first.jacobian(x)
-        j2 = self.second.jacobian(x)
+        return self._combine_jacobians(self.first.jacobian(x), self.second.jacobian(x))
+
+    def _values_jacobian(self, x):
+        v1, j1 = self.first._values_jacobian(x)
+        v2, j2 = self.second._values_jacobian(x)
+        return np.add.outer(v1, v2).ravel(), self._combine_jacobians(j1, j2)
+
+    def _combine_jacobians(self, j1, j2):
         return np.repeat(j1, self.second.S, axis=0) + np.tile(j2, (self.first.S, 1))
 
     def hessians(self, x):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .objectives import ObjectiveFamily
+from .objectives import ObjectiveFamily, _finite_values_jacobian
 from .prox import ProxConfig, _certificates, prox
 from .errors import ConfigError, ProxNonConvergenceError, positive_fields
 from .simplex_geometry import HybridPoint, SimplexPoint, hybrid_bregman
@@ -132,7 +132,8 @@ def run_ppa(fam: ObjectiveFamily, x0, q0: SimplexPoint, cfg: PpaConfig = None) -
     prox_cfg = cfg.prox_cfg
     lam_cap = max(prox_cfg.lam, _LAM_CAP)
     state = HybridPoint(fam.check_point(x0), fam.check_weights(q0))
-    vals, barygrad = fam.values(state.x), fam.jacobian(state.x).T @ state.q.probs
+    vals, jac = _finite_values_jacobian(fam, state.x)
+    barygrad = jac.T @ state.q.probs
 
     records = []
     status = STATUS_MAX_ITER

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDomainError, ProxNonConvergenceError, positive_fields
-from .objectives import ObjectiveFamily, _finite_values, barygradient
+from .objectives import ObjectiveFamily, _finite, _finite_values_jacobian
 from .simplex_geometry import (
     HybridPoint,
     SimplexPoint,
@@ -178,7 +178,8 @@ def prox(fam: ObjectiveFamily, x, q: SimplexPoint, cfg: ProxConfig = None) -> Pr
     lam ||grad phi(x')||, so it stays within inner_tol except where the floor
     stops the descent first, which happens at large lam.
 
-    Each point is evaluated once: the loss values, Jacobian and weights that
+    Each point is evaluated once, by one call to the family's fused
+    `_values_jacobian`: the loss values, Jacobian and weights that
     the line search computed at an accepted point also build the Newton
     matrix there (with `weighted_hessian`, which is None for families
     without Hessians, so the solver then takes gradient steps) and, at the
@@ -191,12 +192,11 @@ def prox(fam: ObjectiveFamily, x, q: SimplexPoint, cfg: ProxConfig = None) -> Pr
     lq = fam.check_weights(q).log_weights
 
     def evaluate(z):
-        vals = _finite_values(fam, z)
+        vals, jac = _finite_values_jacobian(fam, z)
         shifted = lq + lam * vals
         r = np.exp(_log_softmax(shifted))
         dz = z - x
         value = _logsumexp(shifted) / lam + 0.5 * float(dz @ dz) / lam
-        jac = fam.jacobian(z)
         mean_grad = jac.T @ r
         return value, mean_grad + dz / lam, (vals, jac, r, mean_grad)
 
@@ -205,8 +205,14 @@ def prox(fam: ObjectiveFamily, x, q: SimplexPoint, cfg: ProxConfig = None) -> Pr
         curvature = fam.weighted_hessian(z, r)
         if curvature is None:
             return None
-        spread = (jac.T * r) @ jac - np.outer(mean_grad, mean_grad)
-        return curvature + lam * spread + np.eye(fam.m) / lam
+        # curvature + lam * spread + eye(m) / lam, built in one fresh buffer
+        # with the same rounding; `curvature` may be the family's own array.
+        newton = (jac.T * r) @ jac
+        newton -= np.outer(mean_grad, mean_grad)
+        newton *= lam
+        newton += curvature
+        newton.flat[::fam.m + 1] += 1.0 / lam
+        return newton
 
     def floor(ev):
         vals, jac, _, _ = ev
@@ -257,7 +263,7 @@ def saddle_objective(fam: ObjectiveFamily, x, q: SimplexPoint, z, r: SimplexPoin
     fam.check_weights(q)
     fam.check_weights(r)
     dz = z - x
-    return float(r.probs @ fam.values(z)) + 0.5 * float(dz @ dz) / lam - kl(r, q) / lam
+    return float(r.probs @ _finite(fam.values(z))) + 0.5 * float(dz @ dz) / lam - kl(r, q) / lam
 
 
 def minimize_fixed_weights(fam: ObjectiveFamily, x, r: SimplexPoint, cfg: ProxConfig = None):
@@ -273,9 +279,10 @@ def minimize_fixed_weights(fam: ObjectiveFamily, x, r: SimplexPoint, cfg: ProxCo
     p = fam.check_weights(r).probs
 
     def evaluate(z):
+        vals, jac = _finite_values_jacobian(fam, z)
         dz = z - x
-        value = float(p @ fam.values(z)) + 0.5 * float(dz @ dz) / lam
-        grad = fam.jacobian(z).T @ p + dz / lam
+        value = float(p @ vals) + 0.5 * float(dz @ dz) / lam
+        grad = jac.T @ p + dz / lam
         return value, grad, None
 
     def hess(z, _):
@@ -289,7 +296,9 @@ def minimize_fixed_weights(fam: ObjectiveFamily, x, r: SimplexPoint, cfg: ProxCo
 def monotone_operator(fam: ObjectiveFamily, p: HybridPoint):
     """The saddle operator A(x, q) = (J_l(x)^T q, -l(x)) of (x, q) -> q^T l(x)."""
     x = fam.check_point(p.x)
-    return barygradient(fam, x, p.q), -fam.values(x)
+    probs = fam.check_weights(p.q).probs
+    vals, jac = _finite_values_jacobian(fam, x)
+    return jac.T @ probs, -vals
 
 
 def monotonicity_gap(fam: ObjectiveFamily, u: HybridPoint, v: HybridPoint) -> float:
@@ -329,8 +338,8 @@ def resolvent_residual(fam: ObjectiveFamily, p: HybridPoint, result: ProxResult,
     """
     x = fam.check_point(p.x)
     fam.check_weights(p.q)
-    vals_out = fam.values(result.x)
-    out_x = result.x + lam * (fam.jacobian(result.x).T @ result.q.probs)
+    vals_out, jac_out = fam._values_jacobian(result.x)
+    out_x = result.x + lam * (jac_out.T @ result.q.probs)
     arg_out = (1.0 + result.q.log_weights) - lam * vals_out
     out_q = arg_out - _logsumexp(arg_out - 1.0)
     in_q = (1.0 + p.q.log_weights) - _logsumexp(p.q.log_weights)
@@ -346,7 +355,8 @@ def fixed_point_residual(fam: ObjectiveFamily, p: HybridPoint, cfg: ProxConfig =
     weighted gradient J^T q, the spread max l - min l, and the hybrid
     Bregman divergence D_f(prox(x, q), (x, q)).
     """
-    barygrad_norm, spread = _certificates(fam.values(p.x), barygradient(fam, p.x, p.q))
+    vals, jac = fam._values_jacobian(p.x)
+    barygrad_norm, spread = _certificates(vals, jac.T @ fam.check_weights(p.q).probs)
     displacement = hybrid_bregman(prox(fam, p.x, p.q, cfg).point, p)
     return barygrad_norm, spread, displacement
 

@@ -16,16 +16,27 @@ from baryopt.objectives import (
     random_quadratic,
     symmetric_quadratic,
 )
-from baryopt.flows import KIND_MIN_MAX, integrate_flow, pseudo_riemannian_residual
-from baryopt.ppa import run_ppa
+from baryopt.flows import (
+    KIND_MIN_MAX,
+    df_dt_analytic,
+    entropy_rate_analytic,
+    flow_vector_field,
+    integrate_flow,
+    pseudo_riemannian_residual,
+)
+from baryopt.landscape import LandscapePoint, riemannian_hessian
+from baryopt.ppa import PpaConfig, run_ppa
 from baryopt.prox import (
+    ProxConfig,
     fixed_point_residual,
     minimize_fixed_weights,
+    monotone_operator,
+    monotonicity_gap,
     prox,
     resolvent_residual,
     saddle_objective,
 )
-from baryopt.simplex_geometry import HybridPoint, SimplexPoint
+from baryopt.simplex_geometry import HybridPoint, SimplexPoint, logits_from_point
 
 
 class _NoHessians(ObjectiveFamily):
@@ -55,6 +66,49 @@ class _NanJacobian(QuadraticFamily):
 
     def jacobian(self, x):
         return np.full((self.S, self.m), np.nan)
+
+
+class _Shifted(QuadraticFamily):
+    """Quadratic family whose reported losses are shifted by 0, 1, ..., S - 1."""
+
+    def values(self, x):
+        return super().values(x) + np.arange(self.S)
+
+
+class _Forwarding(ObjectiveFamily):
+    """Plain family forwarding to another one, so its fused evaluation is the
+    default one, made of the other family's public methods."""
+
+    def __init__(self, inner):
+        self.inner, self.m, self.S = inner, inner.m, inner.S
+
+    def values(self, x):
+        return self.inner.values(x)
+
+    def jacobian(self, x):
+        return self.inner.jacobian(x)
+
+    def weighted_hessian(self, x, r):
+        return self.inner.weighted_hessian(x, r)
+
+
+class _Overflowing(ObjectiveFamily):
+    """Losses (inf, 0) on R^1: the first loss overflows everywhere."""
+
+    def __init__(self):
+        self.m, self.S = 1, 2
+
+    def values(self, x):
+        self.check_point(x)
+        return np.array([np.inf, 0.0])
+
+    def jacobian(self, x):
+        self.check_point(x)
+        return np.zeros((2, 1))
+
+    def hessians(self, x):
+        self.check_point(x)
+        return np.ones((2, 1, 1))
 
 
 class TestQuadraticFamily:
@@ -218,6 +272,105 @@ class TestWeightedHessian:
         fam = random_quadratic(np.random.default_rng(32), m=3, S=4)
         fam.hessians = None  # any call to the stack would now fail
         assert fam.weighted_hessian(np.zeros(3), np.full(4, 0.25)).shape == (3, 3)
+
+
+def _prox_outputs(fam, x, q):
+    res = prox(fam, x, q, ProxConfig(lam=2.0))
+    return [res.x, res.q.log_weights, res.values, res.barygrad]
+
+
+def _ppa_outputs(fam, x, q):
+    trace = run_ppa(fam, x, q, PpaConfig(max_outer_iter=10))
+    return [np.array([rec.objective for rec in trace.records]), trace.final.x]
+
+
+def _flow_outputs(fam, x, q):
+    return list(flow_vector_field(fam, x, logits_from_point(q), KIND_MIN_MAX))
+
+
+def _hessian_outputs(fam, x, q):
+    report = riemannian_hessian(fam, LandscapePoint(x, logits_from_point(q)))
+    return [report.euclidean, np.array([report.grad_norm])]
+
+
+class TestFusedEvaluation:
+    """`_values_jacobian` is the one evaluation the library makes at a point."""
+
+    @pytest.mark.parametrize("m, S", [(1, 2), (3, 4), (50, 8), (200, 16)])
+    def test_quadratic_equals_values_and_jacobian(self, m, S):
+        rng = np.random.default_rng(m + S)
+        fam = random_quadratic(rng, m=m, S=S)
+        for _ in range(3):
+            x = rng.normal(size=m)
+            vals, jac = fam._values_jacobian(x)
+            assert np.array_equal(vals, fam.values(x))
+            assert np.array_equal(jac, fam.jacobian(x))
+
+    def test_outer_sum_equals_values_and_jacobian(self):
+        rng = np.random.default_rng(33)
+        inner = outer_sum(random_quadratic(rng, m=3, S=2), random_quadratic(rng, m=3, S=3))
+        fam = outer_sum(inner, ConstantFamily(np.array([0.0, 0.4]), m=3))
+        x = rng.normal(size=3)
+        vals, jac = fam._values_jacobian(x)
+        assert vals.shape == (12,) and jac.shape == (12, 3)
+        assert np.array_equal(vals, fam.values(x))
+        assert np.array_equal(jac, fam.jacobian(x))
+
+    def test_overrides_of_values_or_jacobian_drop_the_inherited_kernel(self):
+        class _CustomHessian(QuadraticFamily):
+            def weighted_hessian(self, x, r):
+                return super().weighted_hessian(x, r)
+
+        assert _Shifted._values_jacobian is ObjectiveFamily._values_jacobian
+        assert _WrongJacobian._values_jacobian is ObjectiveFamily._values_jacobian
+        assert _CustomHessian._values_jacobian is QuadraticFamily._values_jacobian
+
+    @pytest.mark.parametrize("outputs", [_prox_outputs, _ppa_outputs, _flow_outputs,
+                                         _hessian_outputs],
+                             ids=["prox", "run_ppa", "flow_vector_field", "riemannian_hessian"])
+    def test_overridden_values_are_honoured(self, outputs):
+        """A subclass's `values` reaches every solver, bit for bit as through
+        a plain family that forwards to it, and moves the result."""
+        rng = np.random.default_rng(34)
+        base = random_quadratic(rng, m=3, S=4)
+        fam = _Shifted(base.A, base.b, base.c)
+        x, q = rng.normal(size=3), SimplexPoint(rng.normal(size=4))
+        got = outputs(fam, x, q)
+        for a, b in zip(got, outputs(_Forwarding(fam), x, q), strict=True):
+            assert np.array_equal(a, b)
+        assert not all(np.array_equal(a, b) for a, b in zip(got, outputs(base, x, q)))
+
+
+def _single_point_calls():
+    """The entry points that evaluate the family at a single point, each
+    called on the overflowing family."""
+    fam = _Overflowing()
+    x = np.zeros(1)
+    q = SimplexPoint.uniform(2)
+    p = HybridPoint(x, q)
+    return {
+        "prox": lambda: prox(fam, x, q),
+        "run_ppa": lambda: run_ppa(fam, x, q),
+        "minimize_fixed_weights": lambda: minimize_fixed_weights(fam, x, q),
+        "saddle_objective": lambda: saddle_objective(fam, x, q, x, q, 0.5),
+        "monotone_operator": lambda: monotone_operator(fam, p),
+        "monotonicity_gap": lambda: monotonicity_gap(fam, p, HybridPoint(x + 1.0, q)),
+        "flow_vector_field": lambda: flow_vector_field(fam, x, np.zeros(1), KIND_MIN_MAX),
+        "df_dt_analytic": lambda: df_dt_analytic(fam, x, np.zeros(1), KIND_MIN_MAX),
+        "entropy_rate_analytic": lambda: entropy_rate_analytic(fam, x, np.zeros(1), KIND_MIN_MAX),
+        "pseudo_riemannian_residual":
+            lambda: pseudo_riemannian_residual(fam, x, q, KIND_MIN_MAX),
+    }
+
+
+class TestNonFiniteLosses:
+    """Losses that overflow are one domain error at every single-point entry
+    point, not a minimizer, objective, gap or velocity built from inf/NaN."""
+
+    @pytest.mark.parametrize("entry", sorted(_single_point_calls()))
+    def test_entry_points_raise(self, entry):
+        with pytest.raises(InvalidDomainError, match="^family returned non-finite loss values$"):
+            _single_point_calls()[entry]()
 
 
 class TestOuterProductWeights:

@@ -307,6 +307,59 @@ class TestSingleEvaluation:
         assert len(set(points)) == len(points)
         assert points == [p.tobytes() for p in fam.jacobian_points]
 
+    def test_each_point_is_one_fused_evaluation(self):
+        """On a quadratic family every point is evaluated by one call to the
+        fused kernel, which reads A once, and never by `values`/`jacobian`."""
+        calls = {"values": 0, "jacobian": 0}
+        points = []
+
+        class _Counting(QuadraticFamily):
+            def values(self, x):
+                calls["values"] += 1
+                return super().values(x)
+
+            def jacobian(self, x):
+                calls["jacobian"] += 1
+                return super().jacobian(x)
+
+            def _values_jacobian(self, x):
+                points.append(np.array(x, dtype=float).tobytes())
+                return super()._values_jacobian(x)
+
+        rng = np.random.default_rng(15)
+        base = random_quadratic(rng, m=4, S=5)
+        fam = _Counting(base.A, base.b, base.c)
+        res = prox(fam, rng.normal(size=4), SimplexPoint(rng.normal(size=5)), ProxConfig(lam=2.0))
+        assert res.inner_iterations >= 2
+        assert calls == {"values": 0, "jacobian": 0}
+        assert len(points) >= res.inner_iterations + 1
+        assert len(set(points)) == len(points)
+
+    def test_newton_matrix_leaves_the_family_curvature_alone(self):
+        """The Newton matrix is built in a fresh buffer, not in the array
+        that `weighted_hessian` returned."""
+
+        class _StoredCurvature(ObjectiveFamily):
+            def __init__(self, inner):
+                self.inner, self.m, self.S = inner, inner.m, inner.S
+                self.stored = inner.weighted_hessian(np.zeros(inner.m), np.ones(inner.S) / inner.S)
+
+            def values(self, x):
+                return self.inner.values(x)
+
+            def jacobian(self, x):
+                return self.inner.jacobian(x)
+
+            def weighted_hessian(self, x, r):
+                return self.stored
+
+        rng = np.random.default_rng(19)
+        fam = _StoredCurvature(random_quadratic(rng, m=4, S=5))
+        before = fam.stored.copy()
+        res = prox(fam, rng.normal(size=4), SimplexPoint(rng.normal(size=5)), ProxConfig(lam=2.0))
+        assert res.inner_iterations >= 2
+        assert np.array_equal(fam.stored, before)
+
     def test_result_carries_the_final_evaluation(self):
         """l(x') and J^T q' come with the result, equal to evaluating again."""
         rng = np.random.default_rng(18)
