@@ -55,6 +55,7 @@ from .objectives import (
     QuadraticFamily,
     barygradient,
     finite_diff_check,
+    known_saddle,
     outer_product,
     outer_sum,
     rank_one_factor_check,

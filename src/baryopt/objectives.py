@@ -19,13 +19,17 @@ integrators instead end a run that leaves float range as diverged.
 Tensorization combines two families on the same R^m into the outer-sum
 family [l1 (+) l2]_{jk} = l1_j + l2_k, flattened row-major (index (j, k) ->
 j * S2 + k), with the matching outer product of weights.
+
+`known_saddle` draws a quadratic family around a known fixed point (x*, q*)
+of the proximal map; it and `random_quadratic` share one curvature draw, and
+each fixes the order of its draws, so a seed names one family.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidDomainError, positive_number
+from .errors import ConfigError, DimensionMismatchError, InvalidDomainError, positive_number
 from .simplex_geometry import SimplexPoint, _vector, as_logits
 
 Array = np.ndarray
@@ -122,6 +126,8 @@ class QuadraticFamily(ObjectiveFamily):
         S, m = A.shape[0], A.shape[1]
         if S < 2:
             raise DimensionMismatchError("a family needs at least 2 losses")
+        if m < 1:
+            raise DimensionMismatchError(f"m must be an integer >= 1, got {m}")
         if b.shape != (S, m) or c.shape != (S,):
             raise DimensionMismatchError(
                 f"inconsistent shapes: A {A.shape}, b {b.shape}, c {c.shape}"
@@ -245,8 +251,10 @@ def rank_one_factor_check(q: SimplexPoint, s1: int, s2: int, tol: float = 1e-6):
     Reshapes q row-major to (s1, s2) and tests the second singular value
     against tol times the first.  On success returns (True, (f1, f2)) where
     the marginal factors f1 (row sums) and f2 (column sums) satisfy
-    f1 (x) f2 = q within tol; otherwise (False, None).
+    f1 (x) f2 = q within tol; otherwise (False, None).  `tol` must be a
+    positive number (ConfigError otherwise).
     """
+    tol = positive_number(tol, "tol", ConfigError)
     if s1 * s2 != q.size or s1 < 2 or s2 < 2:
         raise DimensionMismatchError(
             f"cannot reshape {q.size} weights to ({s1}, {s2})"
@@ -290,8 +298,10 @@ def finite_diff_check(fam: ObjectiveFamily, points, step: float = 1e-5):
 
     Returns one `DerivativeCheck` per point; a point is flagged unless every
     deviation is at most 1e-5 * (1 + Frobenius norm of the jacobian), so a
-    NaN deviation or threshold flags it.
+    NaN deviation or threshold flags it.  `step` must be a positive number
+    (ConfigError otherwise).
     """
+    step = positive_number(step, "step", ConfigError)
     reports = []
     for x in points:
         x = fam.check_point(x)
@@ -319,10 +329,32 @@ def symmetric_quadratic() -> QuadraticFamily:
     )
 
 
-def random_quadratic(rng, m: int = 3, S: int = 4, min_curvature: float = 0.1) -> QuadraticFamily:
-    """Random strictly convex quadratic family (A_s >= min_curvature * Id)."""
+def _curvatures(rng, m, S, min_curvature):
+    """A_s = G_s G_s^T / m + min_curvature * Id from one draw G ~ N(0, 1)^{S x m x m}."""
     G = rng.normal(size=(S, m, m))
-    A = np.einsum("sij,skj->sik", G, G) / m + min_curvature * np.eye(m)
+    return np.einsum("sij,skj->sik", G, G) / m + min_curvature * np.eye(m)
+
+
+def random_quadratic(rng, m: int = 3, S: int = 4, min_curvature: float = 0.1) -> QuadraticFamily:
+    """Random strictly convex quadratic family (A_s >= min_curvature * Id).
+    Draws the curvatures' G, then b ~ N(0, 1)^{S x m}, then c ~ N(0, 1)^S."""
+    A = _curvatures(rng, m, S, min_curvature)
     b = rng.normal(size=(S, m))
     c = rng.normal(size=S)
     return QuadraticFamily(A, b, c)
+
+
+def known_saddle(rng, m: int, S: int):
+    """(family, x*, q*): strictly convex quadratic losses that all vanish at
+    x*, with gradients g there such that q*^T g = 0, so (x*, q*) (q* as
+    probabilities) is a fixed point of the proximal map at every step.
+    Draws x* ~ U(-1, 1)^m, q* ~ Dirichlet(4, ..., 4), the curvatures' G
+    (A_s >= 0.1 * Id), then g ~ N(0, 1)^{S x m} less its q*-weighted mean."""
+    x_star = rng.uniform(-1.0, 1.0, size=m)
+    q_star = rng.dirichlet(np.full(S, 4.0))
+    A = _curvatures(rng, m, S, 0.1)
+    g = rng.normal(size=(S, m))
+    g -= q_star @ g
+    b = g - np.einsum("sij,j->si", A, x_star)
+    c = -(0.5 * np.einsum("i,sij,j->s", x_star, A, x_star) + b @ x_star)
+    return QuadraticFamily(A, b, c), x_star, q_star

@@ -537,7 +537,7 @@ class TestPackage:
 
     def test_all_lists_the_public_names_and_no_modules(self):
         names = baryopt.__all__
-        assert names == sorted(set(names)) and len(names) == 78
+        assert names == sorted(set(names)) and len(names) == 79
         assert not any(isinstance(getattr(baryopt, n), types.ModuleType) for n in names)
         assert {"prox", "run_ppa", "ProxConfig", "CheckResult", "KNOWN_FAILING"} <= set(names)
         assert callable(baryopt.prox)

@@ -29,6 +29,8 @@ from baryopt.flows import (
 from baryopt.objectives import ObjectiveFamily, random_quadratic, symmetric_quadratic
 from baryopt.simplex_geometry import SimplexPoint, logits_from_point, point_from_logits
 
+from _families import Counting
+
 
 class _CubicBlowup(ObjectiveFamily):
     """Concave cubic pair whose descent flow escapes to infinity in finite time."""
@@ -43,21 +45,6 @@ class _CubicBlowup(ObjectiveFamily):
     def jacobian(self, x):
         x = self.check_point(x)
         return np.array([[-3.0 * x[0] ** 2], [-3.0 * x[0] ** 2]])
-
-
-class _Counting(ObjectiveFamily):
-    """Wraps a family and counts its `values` calls."""
-
-    def __init__(self, inner):
-        self.inner, self.m, self.S = inner, inner.m, inner.S
-        self.values_calls = 0
-
-    def values(self, x):
-        self.values_calls += 1
-        return self.inner.values(x)
-
-    def jacobian(self, x):
-        return self.inner.jacobian(x)
 
 
 def _start():
@@ -392,13 +379,13 @@ class TestSingleEngine:
     ])
     def test_one_extra_evaluation_per_run(self, cfg):
         """4 loss evaluations per RK4 step, plus one for the last state."""
-        fam = _Counting(symmetric_quadratic())
+        fam = Counting(symmetric_quadratic())
         tr = integrate_flow(fam, *_start(), KIND_MIN_MIN, cfg)
         steps = int(round(tr.t[-1] / cfg.dt))
-        assert fam.values_calls == 4 * steps + 1
-        fam.values_calls = 0
+        assert fam.calls["values"] == 4 * steps + 1
+        fam.calls["values"] = 0
         tr = integrate_flow_full(fam, np.array([0.3]), np.zeros(2), KIND_MIN_MIN, cfg)
-        assert fam.values_calls == 4 * int(round(tr.t[-1] / cfg.dt)) + 1
+        assert fam.calls["values"] == 4 * int(round(tr.t[-1] / cfg.dt)) + 1
 
 
 class TestPseudoRiemannianRewrite:

@@ -31,13 +31,14 @@ from baryopt.landscape import (
 )
 from baryopt.objectives import (
     ConstantFamily,
-    ObjectiveFamily,
     QuadraticFamily,
     random_quadratic,
     symmetric_quadratic,
 )
 from baryopt.ppa import run_ppa
 from baryopt.simplex_geometry import HybridPoint, SimplexPoint
+
+from _families import NoHessians, Overflowing
 
 
 def _equilibrium():
@@ -217,25 +218,6 @@ class TestSingleEvaluation:
         assert list(report.values) == [f_bar(base, _equilibrium())]
 
 
-class _Overflowing(ObjectiveFamily):
-    """Losses (inf, 0): the first loss overflows everywhere."""
-
-    def __init__(self):
-        self.m, self.S = 1, 2
-
-    def values(self, x):
-        self.check_point(x)
-        return np.array([np.inf, 0.0])
-
-    def jacobian(self, x):
-        self.check_point(x)
-        return np.zeros((2, 1))
-
-    def hessians(self, x):
-        self.check_point(x)
-        return np.ones((2, 1, 1))
-
-
 class TestNonFiniteLosses:
     """Losses that overflow are a domain error at every entry point, not a
     `not-critical` report with NaN blocks or a dropped scan candidate."""
@@ -253,7 +235,7 @@ class TestNonFiniteLosses:
     def test_entry_points_raise(self, entry):
         point = LandscapePoint(np.zeros(1), np.array([0.4]))
         with pytest.raises(InvalidDomainError, match="^family returned non-finite loss values$"):
-            entry(_Overflowing(), point)
+            entry(Overflowing(), point)
 
     def test_overflow_of_a_quadratic(self):
         point = LandscapePoint(np.array([1e300]), np.zeros(1))
@@ -300,23 +282,11 @@ class TestClassification:
             riemannian_hessian(fam, LandscapePoint(np.zeros(1), np.zeros(1)))
 
     def test_missing_hessians_raise(self):
-        class _FirstOrderOnly(ObjectiveFamily):
-            def __init__(self):
-                self.m, self.S = 1, 2
-
-            def values(self, x):
-                x = self.check_point(x)
-                return np.array([x[0] ** 4, 1.0 - x[0]])
-
-            def jacobian(self, x):
-                x = self.check_point(x)
-                return np.array([[4.0 * x[0] ** 3], [-1.0]])
-
         point = LandscapePoint(np.array([0.5]), np.zeros(1))
         with pytest.raises(HessiansUnavailableError):
-            euclidean_hessian(_FirstOrderOnly(), point)
+            euclidean_hessian(NoHessians(), point)
         with pytest.raises(HessiansUnavailableError):
-            riemannian_hessian(_FirstOrderOnly(), point)
+            riemannian_hessian(NoHessians(), point)
 
     @pytest.mark.parametrize("key", ["eps_critical", "eps_eig_scale"])
     @pytest.mark.parametrize("value", ["abc", float("nan"), -1.0, 0.0, True])

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from baryopt.errors import DimensionMismatchError, InvalidDomainError
+from baryopt.errors import ConfigError, DimensionMismatchError, InvalidDomainError
 from baryopt.objectives import (
     ConstantFamily,
     ObjectiveFamily,
     QuadraticFamily,
     barygradient,
     finite_diff_check,
+    known_saddle,
     outer_product,
     outer_sum,
     rank_one_factor_check,
@@ -38,20 +39,7 @@ from baryopt.prox import (
 )
 from baryopt.simplex_geometry import HybridPoint, SimplexPoint, logits_from_point
 
-
-class _NoHessians(ObjectiveFamily):
-    """Cubic pair on R^1 that reports no second derivatives."""
-
-    def __init__(self):
-        self.m, self.S = 1, 2
-
-    def values(self, x):
-        x = self.check_point(x)
-        return np.array([x[0] ** 3, 2.0 - x[0]])
-
-    def jacobian(self, x):
-        x = self.check_point(x)
-        return np.array([[3.0 * x[0] ** 2], [-1.0]])
+from _families import Counting, NoHessians, Overflowing
 
 
 class _WrongJacobian(QuadraticFamily):
@@ -75,40 +63,7 @@ class _Shifted(QuadraticFamily):
         return super().values(x) + np.arange(self.S)
 
 
-class _Forwarding(ObjectiveFamily):
-    """Plain family forwarding to another one, so its fused evaluation is the
-    default one, made of the other family's public methods."""
-
-    def __init__(self, inner):
-        self.inner, self.m, self.S = inner, inner.m, inner.S
-
-    def values(self, x):
-        return self.inner.values(x)
-
-    def jacobian(self, x):
-        return self.inner.jacobian(x)
-
-    def weighted_hessian(self, x, r):
-        return self.inner.weighted_hessian(x, r)
-
-
-class _Overflowing(ObjectiveFamily):
-    """Losses (inf, 0) on R^1: the first loss overflows everywhere."""
-
-    def __init__(self):
-        self.m, self.S = 1, 2
-
-    def values(self, x):
-        self.check_point(x)
-        return np.array([np.inf, 0.0])
-
-    def jacobian(self, x):
-        self.check_point(x)
-        return np.zeros((2, 1))
-
-    def hessians(self, x):
-        self.check_point(x)
-        return np.ones((2, 1, 1))
+_NOT_POSITIVE = [np.nan, np.inf, 0.0, -1.0, True, "abc"]
 
 
 class TestQuadraticFamily:
@@ -139,6 +94,15 @@ class TestQuadraticFamily:
         with pytest.raises(DimensionMismatchError):
             QuadraticFamily(np.ones((1, 1, 1)), np.zeros((1, 1)), np.zeros(1))
 
+    @pytest.mark.parametrize("build", [
+        lambda: QuadraticFamily(np.zeros((3, 0, 0)), np.zeros((3, 0)), np.zeros(3)),
+        lambda: random_quadratic(np.random.default_rng(0), m=0),
+        lambda: known_saddle(np.random.default_rng(0), 0, 3),
+    ], ids=["QuadraticFamily", "random_quadratic", "known_saddle"])
+    def test_rejects_an_empty_domain(self, build):
+        with pytest.raises(DimensionMismatchError, match="^m must be an integer >= 1, got 0$"):
+            build()
+
     def test_rejects_bad_points(self):
         fam = symmetric_quadratic()
         with pytest.raises(DimensionMismatchError):
@@ -167,6 +131,45 @@ class TestQuadraticFamily:
         assert (fam.S, fam.m) == (4, 3)
         for s in range(4):
             assert np.linalg.eigvalsh(fam.A[s]).min() >= 0.1 - 1e-12
+
+
+class TestKnownSaddle:
+    """The drawn pair (x*, q*) is a fixed point, and both random generators
+    consume a fixed sequence of draws, on which seeded catalogues rely."""
+
+    @pytest.mark.parametrize("m, S", [(1, 2), (3, 4), (50, 8)])
+    def test_the_drawn_pair_is_a_fixed_point(self, m, S):
+        for seed in range(5):
+            fam, x_star, q_star = known_saddle(np.random.default_rng(seed), m, S)
+            assert np.abs(fam.values(x_star)).max() <= 1e-12
+            assert np.abs(fam.jacobian(x_star).T @ q_star).max() <= 1e-12
+            point = HybridPoint(x_star, SimplexPoint.from_probs(q_star))
+            assert max(fixed_point_residual(fam, point)) <= 1e-12
+            for A in fam.A:
+                assert np.array_equal(A, A.T)
+                assert np.linalg.eigvalsh(A).min() >= 0.1 - 1e-12
+
+    @pytest.mark.parametrize("m, S", [(1, 2), (3, 4), (50, 8)])
+    def test_draw_order(self, m, S):
+        """x*, q*, the curvatures' G, then g; and G, b, c for random_quadratic.
+        A twin stream that makes the same draws ends in the same state."""
+        def curvatures(G):
+            return np.einsum("sij,skj->sik", G, G) / m + 0.1 * np.eye(m)
+
+        rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+        fam, x_star, q_star = known_saddle(rng, m, S)
+        assert np.array_equal(x_star, twin.uniform(-1.0, 1.0, size=m))
+        assert np.array_equal(q_star, twin.dirichlet(np.full(S, 4.0)))
+        np.testing.assert_allclose(fam.A, curvatures(twin.normal(size=(S, m, m))), atol=1e-12)
+        g = twin.normal(size=(S, m))
+        np.testing.assert_allclose(fam.jacobian(x_star), g - q_star @ g, atol=1e-12)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+        fam = random_quadratic(rng, m, S)
+        np.testing.assert_allclose(fam.A, curvatures(twin.normal(size=(S, m, m))), atol=1e-12)
+        assert np.array_equal(fam.b, twin.normal(size=(S, m)))
+        assert np.array_equal(fam.c, twin.normal(size=S))
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestConstantFamily:
@@ -234,7 +237,7 @@ class TestOuterSum:
         np.testing.assert_allclose(
             fam.hessians(np.zeros(1))[1], f1.A[0] + f1.A[1], rtol=1e-14
         )
-        assert outer_sum(f1, _NoHessians()).hessians(np.zeros(1)) is None
+        assert outer_sum(f1, NoHessians()).hessians(np.zeros(1)) is None
 
     def test_rejects_mismatched_domains(self):
         rng = np.random.default_rng(4)
@@ -263,9 +266,9 @@ class TestWeightedHessian:
 
     def test_none_without_hessians(self):
         r = np.array([0.5, 0.5])
-        assert _NoHessians().weighted_hessian(np.zeros(1), r) is None
+        assert NoHessians().weighted_hessian(np.zeros(1), r) is None
         f1 = random_quadratic(np.random.default_rng(31), m=1, S=2)
-        mixed = outer_sum(f1, _NoHessians())
+        mixed = outer_sum(f1, NoHessians())
         assert mixed.weighted_hessian(np.zeros(1), np.full(4, 0.25)) is None
 
     def test_quadratic_does_not_copy_the_stack(self):
@@ -330,13 +333,13 @@ class TestFusedEvaluation:
                              ids=["prox", "run_ppa", "flow_vector_field", "riemannian_hessian"])
     def test_overridden_values_are_honoured(self, outputs):
         """A subclass's `values` reaches every solver, bit for bit as through
-        a plain family that forwards to it, and moves the result."""
+        a plain family that forwards to it (`Counting`), and moves the result."""
         rng = np.random.default_rng(34)
         base = random_quadratic(rng, m=3, S=4)
         fam = _Shifted(base.A, base.b, base.c)
         x, q = rng.normal(size=3), SimplexPoint(rng.normal(size=4))
         got = outputs(fam, x, q)
-        for a, b in zip(got, outputs(_Forwarding(fam), x, q), strict=True):
+        for a, b in zip(got, outputs(Counting(fam), x, q), strict=True):
             assert np.array_equal(a, b)
         assert not all(np.array_equal(a, b) for a, b in zip(got, outputs(base, x, q)))
 
@@ -344,7 +347,7 @@ class TestFusedEvaluation:
 def _single_point_calls():
     """The entry points that evaluate the family at a single point, each
     called on the overflowing family."""
-    fam = _Overflowing()
+    fam = Overflowing()
     x = np.zeros(1)
     q = SimplexPoint.uniform(2)
     p = HybridPoint(x, q)
@@ -399,6 +402,13 @@ class TestOuterProductWeights:
         with pytest.raises(DimensionMismatchError):
             rank_one_factor_check(SimplexPoint.uniform(6), 2, 2)
 
+    @pytest.mark.parametrize("tol", _NOT_POSITIVE)
+    def test_rank_one_check_rejects_a_tolerance_that_is_not_positive(self, tol):
+        """A NaN tolerance would pass every weight as a product."""
+        q = SimplexPoint(np.random.default_rng(1).normal(size=9))
+        with pytest.raises(ConfigError, match="^tol must be"):
+            rank_one_factor_check(q, 3, 3, tol=tol)
+
 
 class TestBarygradient:
     def test_is_weighted_row_combination(self):
@@ -417,6 +427,11 @@ class TestBarygradient:
 
 
 class TestFiniteDiffCheck:
+    @pytest.mark.parametrize("step", _NOT_POSITIVE)
+    def test_rejects_a_step_that_is_not_positive(self, step):
+        with pytest.raises(ConfigError, match="^step must be"):
+            finite_diff_check(symmetric_quadratic(), [np.array([0.2])], step=step)
+
     def test_correct_family_is_not_flagged(self):
         rng = np.random.default_rng(6)
         fam = random_quadratic(rng, m=2, S=3)
@@ -428,7 +443,7 @@ class TestFiniteDiffCheck:
             assert rep.hessian_dev is not None
 
     def test_jacobian_only_family(self):
-        reports = finite_diff_check(_NoHessians(), [np.array([0.7])])
+        reports = finite_diff_check(NoHessians(), [np.array([0.7])])
         assert not reports[0].flagged
         assert reports[0].hessian_dev is None
 

@@ -11,8 +11,7 @@ from baryopt.errors import ConfigError
 from baryopt.landscape import LandscapePoint, riemannian_hessian
 from baryopt.objectives import (
     ConstantFamily,
-    ObjectiveFamily,
-    QuadraticFamily,
+    known_saddle,
     random_quadratic,
     symmetric_quadratic,
 )
@@ -27,22 +26,15 @@ from baryopt.ppa import (
 from baryopt.prox import ProxConfig, prox
 from baryopt.simplex_geometry import HybridPoint, SimplexPoint, hybrid_bregman
 
+from _families import Counting
 
-def _known_saddle(seed, m, S):
-    """Quadratic family whose losses all vanish at x* with sum_s q*_s g_s = 0,
-    so (x*, q*) is a fixed point; plus a random start drawn after it."""
+
+def _saddle_and_start(seed, m, S):
+    """`known_saddle` at `seed`, plus a random start drawn after it on the same stream."""
     rng = np.random.default_rng(seed)
-    x_star = rng.uniform(-1.0, 1.0, size=m)
-    q_star = rng.dirichlet(np.full(S, 4.0))
-    G = rng.normal(size=(S, m, m))
-    A = np.einsum("sij,skj->sik", G, G) / m + 0.1 * np.eye(m)
-    g = rng.normal(size=(S, m))
-    g -= q_star @ g
-    b = g - np.einsum("sij,j->si", A, x_star)
-    c = -(0.5 * np.einsum("i,sij,j->s", x_star, A, x_star) + b @ x_star)
+    fam, x_star, q_star = known_saddle(rng, m, S)
     x0 = rng.uniform(-1.0, 1.0, size=m)
-    q0 = SimplexPoint.from_probs(rng.dirichlet(np.full(S, 2.0)))
-    return QuadraticFamily(A, b, c), x_star, q_star, x0, q0
+    return fam, x_star, q_star, x0, SimplexPoint.from_probs(rng.dirichlet(np.full(S, 2.0)))
 
 
 class TestConvergence:
@@ -151,32 +143,12 @@ class TestRecording:
         assert (tr == again) is False and (tr == tr) is True
 
 
-class _Counting(ObjectiveFamily):
-    """Delegates to a family and counts its values and jacobian calls."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.m, self.S = inner.m, inner.S
-        self.calls = {"values": 0, "jacobian": 0}
-
-    def values(self, x):
-        self.calls["values"] += 1
-        return self.inner.values(x)
-
-    def jacobian(self, x):
-        self.calls["jacobian"] += 1
-        return self.inner.jacobian(x)
-
-    def weighted_hessian(self, x, r):
-        return self.inner.weighted_hessian(x, r)
-
-
 class TestSingleEvaluation:
     def test_new_iterates_are_recorded_from_the_prox_evaluation(self, monkeypatch):
         """Outside its prox calls run_ppa evaluates the family once, at the
         start; every record still equals a fresh evaluation bit for bit."""
-        fam, _, _, x0, q0 = _known_saddle(3, 3, 4)
-        counting = _Counting(fam)
+        fam, _, _, x0, q0 = _saddle_and_start(3, 3, 4)
+        counting = Counting(fam)
         in_prox = {"values": 0, "jacobian": 0}
 
         def counted_prox(*args, **kwargs):
@@ -233,7 +205,7 @@ class TestOneProxPerState:
         assert len(calls) == tr.iterations == 1
 
     def test_late_inner_failure_keeps_the_trace_to_the_last_good_state(self):
-        fam, _, _, x0, q0 = _known_saddle(2, 2, 3)
+        fam, _, _, x0, q0 = _saddle_and_start(2, 2, 3)
         cfg = PpaConfig(prox_cfg=ProxConfig(allow_newton=False, inner_max_iter=30))
         tr = run_ppa(fam, x0, q0, cfg)
         assert tr.status == STATUS_INNER_FAILURE and tr.iterations == 3
@@ -265,7 +237,7 @@ class TestStepGrowth:
     its saddle after 5,000 iterations."""
 
     def test_slow_family_converges_to_its_saddle(self):
-        fam, x_star, q_star, x0, q0 = _known_saddle(27, 3, 4)
+        fam, x_star, q_star, x0, q0 = _saddle_and_start(27, 3, 4)
         tr = run_ppa(fam, x0, q0)
         assert tr.status == STATUS_CONVERGED
         assert tr.iterations <= 300
@@ -275,7 +247,7 @@ class TestStepGrowth:
 
     def test_fejer_monotone_while_the_step_grows(self):
         """D_f(z*, z_{k+1}) <= D_f(z*, z_k) - D_f(z_{k+1}, z_k) at every step."""
-        fam, x_star, q_star, x0, q0 = _known_saddle(27, 3, 4)
+        fam, x_star, q_star, x0, q0 = _saddle_and_start(27, 3, 4)
         tr = run_ppa(fam, x0, q0)
         assert tr.final_lam > ProxConfig().lam
         anchor = HybridPoint(x_star, SimplexPoint.from_probs(q_star))
@@ -289,7 +261,7 @@ class TestStepGrowth:
     def test_fejer_monotone_at_the_cap(self):
         """The seed-20 (3,4) family reaches the cap; the step still obeys
         the Fejer inequality and the run ends at its saddle."""
-        fam, x_star, q_star, x0, q0 = _known_saddle(20, 3, 4)
+        fam, x_star, q_star, x0, q0 = _saddle_and_start(20, 3, 4)
         tr = run_ppa(fam, x0, q0)
         assert tr.status == STATUS_CONVERGED and tr.iterations <= 100
         assert tr.final_lam == ppa._LAM_CAP
@@ -305,7 +277,7 @@ class TestStepGrowth:
     def test_small_families_converge_to_their_saddles(self, m, S):
         """Every endpoint lies at its family's saddle and classifies as one."""
         for seed in range(20):
-            fam, x_star, q_star, x0, q0 = _known_saddle(seed, m, S)
+            fam, x_star, q_star, x0, q0 = _saddle_and_start(seed, m, S)
             tr = run_ppa(fam, x0, q0)
             assert tr.status == STATUS_CONVERGED, seed
             np.testing.assert_allclose(tr.final.x, x_star, atol=1e-3)
@@ -316,14 +288,14 @@ class TestStepGrowth:
     @pytest.mark.parametrize("seed, m, S", [(9, 2, 3), (23, 3, 4)])
     def test_tight_certificates_converge(self, seed, m, S):
         """fp_tol = 1e-9 asks the solves for gradients near their round-off."""
-        fam, x_star, q_star, x0, q0 = _known_saddle(seed, m, S)
+        fam, x_star, q_star, x0, q0 = _saddle_and_start(seed, m, S)
         tr = run_ppa(fam, x0, q0, PpaConfig(fp_tol=1e-9))
         assert tr.status == STATUS_CONVERGED
         np.testing.assert_allclose(tr.final.x, x_star, atol=1e-5)
         np.testing.assert_allclose(tr.final.q.probs, q_star, atol=1e-5)
 
     def test_large_family_converges_on_a_small_inner_budget(self):
-        fam, x_star, q_star, x0, q0 = _known_saddle(0, 200, 16)
+        fam, x_star, q_star, x0, q0 = _saddle_and_start(0, 200, 16)
         tr = run_ppa(fam, x0, q0, PpaConfig(prox_cfg=ProxConfig(inner_max_iter=300)))
         assert tr.status == STATUS_CONVERGED
         np.testing.assert_allclose(tr.final.x, x_star, atol=1e-3)

@@ -20,8 +20,8 @@ from baryopt.errors import (
 )
 from baryopt.objectives import (
     ConstantFamily,
-    ObjectiveFamily,
     QuadraticFamily,
+    known_saddle,
     random_quadratic,
     symmetric_quadratic,
 )
@@ -39,6 +39,8 @@ from baryopt.prox import (
 )
 from baryopt.simplex_geometry import HybridPoint, SimplexPoint
 
+from _families import Counting
+
 
 def _oracle_symmetric(x, q1, lam):
     """Saddle x' for the pair (z-1)^2/2, (z+1)^2/2 by 1-d root finding.
@@ -54,21 +56,6 @@ def _oracle_symmetric(x, q1, lam):
         return z + (w - 1.0) / (w + 1.0) + (z - x) / lam
 
     return brentq(g, -50.0, 50.0, xtol=1e-15, rtol=8.9e-16)
-
-
-def _known_saddle(seed, m, S):
-    """Quadratic family whose losses all vanish at x* with sum_s q*_s g_s = 0,
-    so (x*, q*) is a fixed point of the proximal map at every step."""
-    rng = np.random.default_rng(seed)
-    x_star = rng.uniform(-1.0, 1.0, size=m)
-    q_star = rng.dirichlet(np.full(S, 4.0))
-    G = rng.normal(size=(S, m, m))
-    A = np.einsum("sij,skj->sik", G, G) / m + 0.1 * np.eye(m)
-    g = rng.normal(size=(S, m))
-    g -= q_star @ g
-    b = g - np.einsum("sij,j->si", A, x_star)
-    c = -(0.5 * np.einsum("i,sij,j->s", x_star, A, x_star) + b @ x_star)
-    return QuadraticFamily(A, b, c), x_star, q_star
 
 
 def _random_hybrid(rng, m, S):
@@ -153,7 +140,7 @@ class TestRoundoff:
         noise = np.random.default_rng(0)
         cfg = ProxConfig(lam=500.0)
         for seed in range(10):
-            fam, x_star, q_star = _known_saddle(seed, 50, 8)
+            fam, x_star, q_star = known_saddle(np.random.default_rng(seed), 50, 8)
             x = x_star + 1e-6 * noise.normal(size=50)
             q = SimplexPoint(np.log(q_star) + 1e-6 * noise.normal(size=8))
             res = prox(fam, x, q, cfg)
@@ -260,44 +247,12 @@ class TestFixedPoints:
         assert displacement > 1e-4
 
 
-class _Counting(ObjectiveFamily):
-    """Delegates to a family, logging every call and the points evaluated."""
-
-    def __init__(self, inner, with_hessians=True):
-        self.inner = inner
-        self.m, self.S = inner.m, inner.S
-        self.with_hessians = with_hessians
-        self.calls = {"values": 0, "jacobian": 0, "hessians": 0, "weighted_hessian": 0}
-        self.value_points = []
-        self.jacobian_points = []
-
-    def values(self, x):
-        self.calls["values"] += 1
-        self.value_points.append(np.array(x, dtype=float))
-        return self.inner.values(x)
-
-    def jacobian(self, x):
-        self.calls["jacobian"] += 1
-        self.jacobian_points.append(np.array(x, dtype=float))
-        return self.inner.jacobian(x)
-
-    def hessians(self, x):
-        self.calls["hessians"] += 1
-        return self.inner.hessians(x) if self.with_hessians else None
-
-    def weighted_hessian(self, x, r):
-        self.calls["weighted_hessian"] += 1
-        if not self.with_hessians:
-            return super().weighted_hessian(x, r)
-        return self.inner.weighted_hessian(x, r)
-
-
 class TestSingleEvaluation:
     def test_each_point_is_evaluated_once(self):
         """No hessians stack, one weighted Hessian per Newton step, and one
         values and one jacobian call per point the line search tried."""
         rng = np.random.default_rng(15)
-        fam = _Counting(random_quadratic(rng, m=4, S=5))
+        fam = Counting(random_quadratic(rng, m=4, S=5))
         res = prox(fam, rng.normal(size=4), SimplexPoint(rng.normal(size=5)), ProxConfig(lam=2.0))
         assert res.inner_iterations >= 2
         assert fam.calls["hessians"] == 0
@@ -339,16 +294,10 @@ class TestSingleEvaluation:
         """The Newton matrix is built in a fresh buffer, not in the array
         that `weighted_hessian` returned."""
 
-        class _StoredCurvature(ObjectiveFamily):
+        class _StoredCurvature(Counting):
             def __init__(self, inner):
-                self.inner, self.m, self.S = inner, inner.m, inner.S
+                super().__init__(inner)
                 self.stored = inner.weighted_hessian(np.zeros(inner.m), np.ones(inner.S) / inner.S)
-
-            def values(self, x):
-                return self.inner.values(x)
-
-            def jacobian(self, x):
-                return self.inner.jacobian(x)
 
             def weighted_hessian(self, x, r):
                 return self.stored
@@ -375,7 +324,7 @@ class TestSingleEvaluation:
         inner = random_quadratic(rng, m=2, S=3)
         x, q = rng.normal(size=2), SimplexPoint(rng.normal(size=3))
         cfg = ProxConfig(lam=0.5, inner_tol=1e-7)
-        fam = _Counting(inner, with_hessians=False)
+        fam = Counting(inner, with_hessians=False)
         res = prox(fam, x, q, cfg)
         plain = prox(inner, x, q, ProxConfig(lam=0.5, inner_tol=1e-7, allow_newton=False))
         assert res.inner_iterations == plain.inner_iterations > 1
@@ -384,7 +333,7 @@ class TestSingleEvaluation:
 
     def test_fixed_weights_newton_uses_the_weighted_hessian(self):
         rng = np.random.default_rng(17)
-        fam = _Counting(random_quadratic(rng, m=3, S=4))
+        fam = Counting(random_quadratic(rng, m=3, S=4))
         r = SimplexPoint(rng.normal(size=4))
         minimize_fixed_weights(fam, rng.normal(size=3), r, ProxConfig(lam=0.5))
         assert fam.calls["hessians"] == 0
@@ -392,22 +341,6 @@ class TestSingleEvaluation:
 
 
 class TestFailureModes:
-    def test_non_finite_losses_are_rejected(self):
-        class _Overflowing(ObjectiveFamily):
-            def __init__(self):
-                self.m, self.S = 1, 2
-
-            def values(self, x):
-                self.check_point(x)
-                return np.array([np.inf, 0.0])
-
-            def jacobian(self, x):
-                self.check_point(x)
-                return np.zeros((2, 1))
-
-        with pytest.raises(InvalidDomainError):
-            prox(_Overflowing(), np.zeros(1), SimplexPoint.uniform(2))
-
     def test_budget_exhaustion_reports_best_iterate(self):
         """Two gradient steps cannot reach tol from a far start; the error
         carries the best iterate, its weights, and the remaining gradient."""
